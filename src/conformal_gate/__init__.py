@@ -25,9 +25,7 @@ from .core_types import (
     EmptyCalibrationError,
     EmptyDatasetError,
     InvalidDatasetError,
-    LabeledExample,
     LengthMismatchError,
-    ProbVector,
     Violation,
     require_valid,
     validate_dataset,
@@ -55,7 +53,7 @@ from .metrics import (
     strict_coverage,
     uncertain_histogram,
 )
-from .predictor import PredictionSet, argmax_class, predict_batch, prediction_set
+from .predictor import PredictionSet, predict_batch
 from .synth import CoverageTrialResult, SyntheticSpec, coverage_trial, generate
 
 __version__ = "0.1.0"
@@ -76,17 +74,14 @@ __all__ = [
     "EmptyDatasetError",
     "EvaluationReport",
     "InvalidDatasetError",
-    "LabeledExample",
     "LengthMismatchError",
     "ParseError",
     "PredictionSet",
-    "ProbVector",
     "SetSizeHistogram",
     "SplitSpec",
     "SyntheticSpec",
     "UnknownLabelError",
     "Violation",
-    "argmax_class",
     "avg_set_size",
     "calibrate",
     "calibrate_scores",
@@ -99,7 +94,6 @@ __all__ = [
     "load_universe",
     "marginal_coverage",
     "predict_batch",
-    "prediction_set",
     "quantile_level",
     "read_report",
     "require_valid",

@@ -15,7 +15,6 @@ conformal convention (quantile of level > 1 is +infinity).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -101,6 +100,11 @@ class CalibrationResult:
         return math.ceil(self.qlevel * self.n)
 
 
+def nonconformity(probs: np.ndarray) -> np.ndarray:
+    """Nonconformity scores 1 - p, elementwise; the only place they are computed."""
+    return 1.0 - probs
+
+
 def calibrate_scores(scores: Sequence[float], alpha: float | Alpha) -> CalibrationResult:
     """Calibrate directly from a multiset of nonconformity scores.
 
@@ -134,9 +138,7 @@ def calibrate(calib: Dataset, alpha: float | Alpha) -> CalibrationResult:
     if len(calib) == 0:
         raise EmptyCalibrationError("calibration dataset is empty")
     require_valid(calib)
-    probs = calib.probability_matrix()
-    labels = calib.label_array()
-    scores = 1.0 - probs[np.arange(len(calib)), labels]
+    scores = nonconformity(calib.probability_matrix()[np.arange(len(calib)), calib.labels])
     return calibrate_scores(scores.tolist(), alpha)
 
 
@@ -146,9 +148,6 @@ class CurveData:
 
     points: tuple[tuple[int, float], ...]
     threshold: float
-    qlevel: float
-    n: int
-    alpha: float
 
     def to_csv_text(self) -> str:
         lines = ["rank,score"]
@@ -156,26 +155,8 @@ class CurveData:
         lines.append("threshold," + ("inf" if self.threshold == ALL_INCLUSIVE else repr(self.threshold)))
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "points": [[rank, score] for rank, score in self.points],
-            "threshold": "all_inclusive" if self.threshold == ALL_INCLUSIVE else self.threshold,
-            "qlevel": self.qlevel,
-            "n": self.n,
-            "alpha": self.alpha,
-        }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj()) + "\n"
-
 
 def export_calibration_curve(result: CalibrationResult) -> CurveData:
     """Ascending score distribution plus the threshold line, for plotting."""
     points = tuple((i, s) for i, s in enumerate(result.sorted_scores))
-    return CurveData(
-        points=points,
-        threshold=result.threshold,
-        qlevel=result.qlevel,
-        n=result.n,
-        alpha=result.alpha,
-    )
+    return CurveData(points=points, threshold=result.threshold)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -91,12 +92,6 @@ def _threshold_json(threshold: float):
     return "all_inclusive" if threshold == ALL_INCLUSIVE else threshold
 
 
-def _threshold_from_json(value) -> float:
-    if value == "all_inclusive":
-        return ALL_INCLUSIVE
-    return float(value)
-
-
 def cmd_calibrate(args) -> int:
     dataset = _load_input(args.input, args.classes)
     result = calibrate(dataset, Alpha(args.alpha))
@@ -117,7 +112,13 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _read_artifact(path: str) -> dict:
+def _read_artifact(path: str, universe) -> float:
+    """The threshold of a calibration artifact that fits the input's universe.
+
+    A class count other than the input's, or a threshold that is neither
+    "all_inclusive" nor a finite number in [0, 1], is a data error.  Class
+    names that differ only warn.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             artifact = json.load(handle)
@@ -125,34 +126,46 @@ def _read_artifact(path: str) -> dict:
             raise DataError(f"malformed calibration artifact {path}: {exc}") from exc
     if "threshold" not in artifact:
         raise DataError(f"calibration artifact {path} has no threshold")
-    return artifact
-
-
-def _warn_universe_mismatch(artifact: dict, universe) -> None:
+    if "k" in artifact and artifact["k"] != universe.k:
+        raise DataError(
+            f"calibration artifact {path} is for k={artifact['k']!r} classes,"
+            f" the input has {universe.k}"
+        )
+    value = artifact["threshold"]
+    if value == "all_inclusive":
+        threshold = ALL_INCLUSIVE
+    elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value) and 0.0 <= value <= 1.0):
+        threshold = float(value)
+    else:
+        raise DataError(
+            f"calibration artifact {path}: threshold {value!r} is neither"
+            ' "all_inclusive" nor a finite number in [0, 1]'
+        )
     recorded = artifact.get("universe_sha256")
     if recorded and recorded != cgio.universe_digest(universe):
         logger.warning(
             "test file universe differs from the one used at calibration; "
             "proceeding with the artifact threshold"
         )
+    return threshold
 
 
 def cmd_predict(args) -> int:
-    artifact = _read_artifact(args.calibration)
     dataset = _load_input(args.input, args.classes)
-    _warn_universe_mismatch(artifact, dataset.universe)
-    threshold = _threshold_from_json(artifact["threshold"])
+    threshold = _read_artifact(args.calibration, dataset.universe)
     sets = predict_batch(dataset, threshold)
     lines = [
-        json.dumps(ps.to_json_obj(true_label=ex.true_label))
-        for ps, ex in zip(sets, dataset)
+        json.dumps(ps.to_json_obj(true_label=label))
+        for ps, label in zip(sets, dataset.labels.tolist())
     ]
     cgio.write_atomic(args.out, "\n".join(lines) + ("\n" if lines else ""))
     print(f"wrote {len(sets)} prediction sets to {args.out}")
     return EXIT_OK
 
 
-def _load_prediction_file(path: str) -> list[PredictionSet]:
+def _load_prediction_file(path: str, k: int) -> list[PredictionSet]:
+    """Prediction records whose members are class indices in [0, k)."""
     with open(path, "r", encoding="utf-8") as handle:
         rows = handle.read().splitlines()
     sets = []
@@ -161,9 +174,21 @@ def _load_prediction_file(path: str) -> list[PredictionSet]:
             continue
         try:
             obj = json.loads(row)
-            sets.append(PredictionSet(str(obj["sample_id"]), frozenset(obj["members"])))
+            sample_id, members = str(obj["sample_id"]), list(obj["members"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise cgio.ParseError(f"bad prediction record: {exc}", line=offset) from exc
+        for m in members:
+            if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < k:
+                raise cgio.ParseError(
+                    f"member {m!r} is not a class index in [0, {k})", line=offset
+                )
+        ps = PredictionSet(sample_id, frozenset(members))
+        if "set_size" in obj and obj["set_size"] != ps.set_size:
+            raise cgio.ParseError(
+                f"set_size {obj['set_size']!r} differs from the {ps.set_size} members",
+                line=offset,
+            )
+        sets.append(ps)
     return sets
 
 
@@ -197,12 +222,9 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     dataset = _load_input(args.input, args.classes)
     if args.predictions:
-        sets = _load_prediction_file(args.predictions)
+        sets = _load_prediction_file(args.predictions, dataset.universe.k)
     else:
-        artifact = _read_artifact(args.calibration)
-        _warn_universe_mismatch(artifact, dataset.universe)
-        threshold = _threshold_from_json(artifact["threshold"])
-        sets = predict_batch(dataset, threshold)
+        sets = predict_batch(dataset, _read_artifact(args.calibration, dataset.universe))
     report = evaluate(dataset, sets)
     cgio.write_report(report, args.out_json, fmt="json")
     cgio.write_report(report, args.out_csv, fmt="csv")

@@ -1,26 +1,32 @@
-"""Shared domain types: class universe, probability vectors, labeled datasets.
+"""Shared domain types: class universe, violations and the columnar dataset.
 
 A probability vector is the system boundary: any classifier is treated as an
-opaque source of length-K probability vectors.  Types are immutable after
-construction and safe to share across threads.
+opaque source of length-K probability vectors.  A :class:`Dataset` holds n
+of them column-wise: a tuple of sample ids, a read-only int64 label array of
+shape [n] and a read-only float64 probability matrix of shape [n, K].  Types
+are immutable after construction and safe to share across threads.
 
-Probability-mass policy (applied at ProbVector construction):
+Dataset construction applies one probability-mass policy to every row, with
+``sum`` the row's exactly rounded ``math.fsum``:
 
 * ``|sum - 1| <= 1e-9``  - treated as already normalized, values untouched
   (renormalizing float dust would break bit-exact round trips);
-* ``1e-9 < |sum - 1| <= 1e-6``  - renormalized silently;
-* ``1e-6 < |sum - 1| <= 1e-3``  - renormalized, warning logged;
-* anything else (including NaN/inf)  - left as-is for ``validate_dataset``
-  to report; values are never silently clamped or repaired.
+* ``1e-9 < |sum - 1| <= 1e-6``  - divided by ``sum`` silently;
+* ``1e-6 < |sum - 1| <= 1e-3``  - divided by ``sum``; one WARNING line per
+  dataset gives the count of such rows and where the first ones are;
+* anything else (including NaN/inf)  - left as-is and reported; values are
+  never silently clamped or repaired.
+
+The same construction records every violation once, in ``violations``:
+validation is a lookup, never a second pass over the rows.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +35,8 @@ logger = logging.getLogger("conformal_gate.core_types")
 NOOP_TOL = 1e-9
 SILENT_TOL = 1e-6
 WARN_TOL = 1e-3
+
+DUPLICATE_ID = "duplicate sample_id"
 
 
 class DataError(ValueError):
@@ -118,163 +126,166 @@ class ClassUniverse:
 
 
 @dataclass(frozen=True)
-class ProbVector:
-    """A length-K vector of class probabilities for one sample.
-
-    Construction applies the probability-mass policy documented in the
-    module docstring; out-of-policy vectors are stored untouched so that
-    ``validate_dataset`` can report them.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if values and all(math.isfinite(v) for v in values):
-            mass = math.fsum(values)
-            deviation = abs(mass - 1.0)
-            if NOOP_TOL < deviation <= WARN_TOL:
-                if deviation > SILENT_TOL:
-                    logger.warning(
-                        "renormalizing probability vector with mass %.9g", mass
-                    )
-                values = tuple(v / mass for v in values)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-    def mass(self) -> float:
-        return math.fsum(self.values)
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """A sample identifier, its true class index, and the classifier's output."""
-
-    sample_id: str
-    true_label: int
-    probs: ProbVector
-
-    def __post_init__(self):
-        if not isinstance(self.probs, ProbVector):
-            object.__setattr__(self, "probs", ProbVector(tuple(self.probs)))
-
-
-@dataclass(frozen=True)
 class Violation:
-    """One invariant violation found by validate_dataset."""
+    """One invariant violation of a dataset row (``row`` is its 0-based index)."""
 
     sample_id: str | None
     reason: str
+    row: int | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         where = self.sample_id if self.sample_id is not None else "<dataset>"
         return f"{where}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An ordered collection of labeled examples over one class universe.
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each finite row; inf where the sum overflows."""
+    sums = []
+    for row in rows.tolist():
+        try:
+            sums.append(math.fsum(row))
+        except OverflowError:
+            sums.append(math.inf)
+    return np.array(sums, dtype=np.float64)
 
-    Construction is permissive: invalid examples are stored so that
-    validation can enumerate every problem.  Operations that require a
-    valid dataset call :func:`require_valid` first.
+
+def _apply_mass_policy(probs: np.ndarray, lines: Sequence[int] | None) -> np.ndarray:
+    """Apply the probability-mass policy to the rows of ``probs`` in place.
+
+    Returns, per row, the mass of a finite row still off unit mass by more
+    than SILENT_TOL after the policy, and NaN for every other row.  ``lines``
+    names rows by source line in the warning; without it rows are named by
+    0-based index.
+    """
+    finite = np.isfinite(probs).all(axis=1)
+    masses = np.full(len(probs), np.nan)
+    masses[finite] = _fsum_rows(probs[finite])
+    deviation = np.abs(masses - 1.0)
+    renormalize = (deviation > NOOP_TOL) & (deviation <= WARN_TOL)
+    warned = np.flatnonzero(renormalize & (deviation > SILENT_TOL))
+    if warned.size:
+        where, first = ("rows", warned[:5].tolist()) if lines is None else (
+            "lines", [lines[i] for i in warned[:5]])
+        logger.warning(
+            "renormalizing %d probability vector(s) with mass off by more than %g;"
+            " first at %s %s",
+            warned.size, SILENT_TOL, where, ", ".join(map(str, first)),
+        )
+    probs[renormalize] /= masses[renormalize, None]
+    masses[renormalize] = _fsum_rows(probs[renormalize])
+    return np.where(np.abs(masses - 1.0) > SILENT_TOL, masses, np.nan)
+
+
+def _find_violations(
+    ids: tuple[str, ...], labels: np.ndarray, probs: np.ndarray, off_mass: np.ndarray, k: int
+) -> tuple[Violation, ...]:
+    """Every violation, by row and then in a fixed order of checks."""
+    duplicate = np.zeros(len(ids), dtype=bool)
+    seen: set[str] = set()
+    for i, sample_id in enumerate(ids):
+        duplicate[i] = sample_id in seen
+        seen.add(sample_id)
+    bad_label = (labels < 0) | (labels >= k)
+    finite = np.isfinite(probs).all(axis=1)
+    outside = (probs < 0.0) | (probs > 1.0)
+    out_of_range = finite & outside.any(axis=1)
+    off = ~np.isnan(off_mass)
+
+    found: list[Violation] = []
+    for i in np.flatnonzero(duplicate | bad_label | ~finite | out_of_range | off).tolist():
+        sample_id = ids[i]
+        if duplicate[i]:
+            found.append(Violation(sample_id, DUPLICATE_ID, i))
+        if bad_label[i]:
+            found.append(
+                Violation(sample_id, f"true_label {int(labels[i])!r} outside [0, {k})", i)
+            )
+        if not finite[i]:
+            found.append(Violation(sample_id, "non-finite probability entry", i))
+            continue
+        if out_of_range[i]:
+            bad = float(probs[i][outside[i]][0])
+            found.append(Violation(sample_id, f"probability {bad:.9g} outside [0, 1]", i))
+        if off[i]:
+            found.append(Violation(
+                sample_id, f"probability mass {float(off_mass[i]):.9g} outside tolerance", i
+            ))
+    return tuple(found)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Labeled probability rows over one class universe, stored column-wise.
+
+    ``labels`` and ``probs`` are read-only copies of the given arrays, with
+    the probability-mass policy applied to ``probs``.  Construction is
+    permissive: invalid rows are stored, and ``violations`` lists every
+    problem.  Operations that require a valid dataset call
+    :func:`require_valid` first.  ``lines``, when given, is each row's
+    1-based source line, used to name rows in the renormalization warning.
     """
 
     universe: ClassUniverse
-    examples: tuple[LabeledExample, ...]
+    ids: tuple[str, ...]
+    labels: np.ndarray
+    probs: np.ndarray
+    lines: InitVar[Sequence[int] | None] = None
+    violations: tuple[Violation, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
+    def __post_init__(self, lines: Sequence[int] | None):
+        ids = tuple(self.ids)
+        labels = np.array(self.labels, dtype=np.int64)
+        probs = np.array(self.probs, dtype=np.float64)
+        if labels.shape != (len(ids),) or probs.ndim != 2 or len(probs) != len(ids):
+            raise LengthMismatchError(
+                f"{len(ids)} sample ids, labels of shape {labels.shape},"
+                f" probabilities of shape {probs.shape}"
+            )
+        k = self.universe.k
+        if probs.shape[1] != k:
+            raise DimensionMismatchError(f"expected {k} probabilities, got {probs.shape[1]}")
+        off_mass = _apply_mass_policy(probs, lines)
+        labels.flags.writeable = False
+        probs.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(
+            self, "violations", _find_violations(ids, labels, probs, off_mass, k)
+        )
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[LabeledExample]:
-        return iter(self.examples)
-
-    def __getitem__(self, i: int) -> LabeledExample:
-        return self.examples[i]
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        k = self.universe.k
-        out = np.empty((len(self.examples), k), dtype=np.float64)
-        for i, ex in enumerate(self.examples):
-            if len(ex.probs) != k:
-                raise DimensionMismatchError(
-                    f"sample {ex.sample_id!r}: expected {k} probabilities, got {len(ex.probs)}"
-                )
-            out[i, :] = ex.probs.values
-        out.flags.writeable = False
-        return out
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.universe == other.universe
+            and self.ids == other.ids
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.probs, other.probs)
+        )
 
     def probability_matrix(self) -> np.ndarray:
-        """Read-only (n, K) float matrix of all probability vectors."""
-        return self._matrix
+        """Read-only (n, K) float matrix of all probability vectors: ``probs``.
 
-    @cached_property
-    def _labels(self) -> np.ndarray:
-        out = np.fromiter((ex.true_label for ex in self.examples), dtype=np.int64,
-                          count=len(self.examples))
-        out.flags.writeable = False
-        return out
-
-    def label_array(self) -> np.ndarray:
-        """Read-only length-n int array of true labels."""
-        return self._labels
-
-    def sample_ids(self) -> tuple[str, ...]:
-        return tuple(ex.sample_id for ex in self.examples)
+        Operations read the matrix through this accessor, so that a tracer
+        wrapping it sees every use.
+        """
+        return self.probs
 
 
 def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """Collect every invariant violation in the dataset; empty list iff valid.
+    """Every invariant violation in the dataset; empty list iff valid.
 
     Never raises on bad data: callers decide what to do with the report.
     """
-    violations: list[Violation] = []
-    k = dataset.universe.k
-    seen: set[str] = set()
-    for ex in dataset.examples:
-        if ex.sample_id in seen:
-            violations.append(Violation(ex.sample_id, "duplicate sample_id"))
-        seen.add(ex.sample_id)
-
-        if not isinstance(ex.true_label, (int, np.integer)) or not 0 <= ex.true_label < k:
-            violations.append(
-                Violation(ex.sample_id, f"true_label {ex.true_label!r} outside [0, {k})")
-            )
-
-        values = ex.probs.values
-        if len(values) != k:
-            violations.append(
-                Violation(ex.sample_id, f"expected {k} probabilities, got {len(values)}")
-            )
-            continue
-        if not all(math.isfinite(v) for v in values):
-            violations.append(Violation(ex.sample_id, "non-finite probability entry"))
-            continue
-        bad = [v for v in values if v < 0.0 or v > 1.0]
-        if bad:
-            violations.append(
-                Violation(ex.sample_id, f"probability {bad[0]:.9g} outside [0, 1]")
-            )
-        mass = math.fsum(values)
-        if abs(mass - 1.0) > SILENT_TOL:
-            violations.append(
-                Violation(ex.sample_id, f"probability mass {mass:.9g} outside tolerance")
-            )
-    return violations
+    return list(dataset.violations)
 
 
 def require_valid(dataset: Dataset) -> Dataset:
     """Raise InvalidDatasetError unless the dataset validates cleanly."""
-    violations = validate_dataset(dataset)
-    if violations:
-        raise InvalidDatasetError(violations)
+    if dataset.violations:
+        raise InvalidDatasetError(dataset.violations)
     return dataset

@@ -26,22 +26,22 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .calibration import CurveData
 from .core_types import (
     ClassLabel,
     ClassUniverse,
+    DUPLICATE_ID,
     DataError,
     Dataset,
     DimensionMismatchError,
-    LabeledExample,
-    ProbVector,
-    SILENT_TOL,
-    WARN_TOL,
 )
 from .metrics import EvaluationReport
 from .rng import SplitMix64
@@ -121,6 +121,8 @@ def file_digest(path: str | Path) -> str:
 
 
 def _resolve_label(raw: str | int, universe: ClassUniverse, line: int) -> int:
+    if isinstance(raw, bool):
+        raise UnknownLabelError(f"true_label {raw!r} is not a class index or name", line=line)
     if isinstance(raw, int):
         index = raw
     else:
@@ -139,22 +141,49 @@ def _resolve_label(raw: str | int, universe: ClassUniverse, line: int) -> int:
     return index
 
 
-def _checked_probs(values: Sequence[float], universe: ClassUniverse, line: int) -> ProbVector:
-    if len(values) != universe.k:
+def _check_width(width: int, universe: ClassUniverse, line: int) -> None:
+    if width != universe.k:
         raise DimensionMismatchError(
-            f"line {line}: expected {universe.k} probabilities, got {len(values)}"
+            f"line {line}: expected {universe.k} probabilities, got {width}"
         )
-    if not all(math.isfinite(v) for v in values):
-        raise ParseError("non-finite probability entry", line=line)
-    if any(v < 0.0 or v > 1.0 for v in values):
-        bad = next(v for v in values if v < 0.0 or v > 1.0)
-        raise ParseError(f"probability {bad:.9g} outside [0, 1]", line=line)
-    mass = math.fsum(values)
-    if abs(mass - 1.0) > WARN_TOL:
-        raise ParseError(f"probability mass {mass:.9g} outside tolerance", line=line)
-    if abs(mass - 1.0) > SILENT_TOL:
-        logger.warning("line %d: renormalizing probability mass %.9g", line, mass)
-    return ProbVector(tuple(values))
+
+
+class _Rows:
+    """Rows parsed from a dataset file, in file order, with their line numbers."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.labels: list[int] = []
+        self.values: list[float] = []
+        self.lines: list[int] = []
+
+    def append(self, sample_id: str, label: int, values: list[float], line: int) -> None:
+        self.ids.append(sample_id)
+        self.labels.append(label)
+        self.values.extend(values)
+        self.lines.append(line)
+
+    def dataset(self, universe: ClassUniverse, error: DataError | None) -> Dataset:
+        """The rows as a Dataset, or the first problem in file order.
+
+        ``error`` is the parse error that stopped reading, if any; the rows
+        before it are checked first.  Duplicate ids are reported last.
+        """
+        probs = np.array(self.values, dtype=np.float64).reshape(len(self.ids), universe.k)
+        dataset = Dataset(universe, self.ids, self.labels, probs, lines=self.lines)
+        for v in dataset.violations:
+            if v.reason != DUPLICATE_ID:
+                raise ParseError(v.reason, line=self.lines[v.row])
+        if error is not None:
+            raise error
+        if dataset.violations:
+            v = dataset.violations[0]
+            first = self.lines[self.ids.index(v.sample_id)]
+            raise ParseError(
+                f"duplicate sample_id {v.sample_id!r} (first seen on line {first})",
+                line=self.lines[v.row],
+            )
+        return dataset
 
 
 def _infer_format(path: str | Path) -> str:
@@ -172,8 +201,8 @@ def load_probabilities(
     """Load a labeled probability file (CSV or JSONL) into a Dataset.
 
     When no universe is given, one is inferred from the file with generic
-    class names (labels must then be numeric indices).  Rows are validated
-    while parsing; any violation raises with its 1-based line number.
+    class names (labels must then be numeric indices).  Any parse error or
+    dataset violation raises with the 1-based line number of its row.
     """
     fmt = fmt or _infer_format(path)
     if fmt == "csv":
@@ -181,17 +210,6 @@ def load_probabilities(
     if fmt == "jsonl":
         return _load_jsonl(path, universe)
     raise DataError(f"unknown dataset format {fmt!r}")
-
-
-def _check_ids_unique(examples: list[LabeledExample], lines: list[int]) -> None:
-    seen: dict[str, int] = {}
-    for ex, line in zip(examples, lines):
-        if ex.sample_id in seen:
-            raise ParseError(
-                f"duplicate sample_id {ex.sample_id!r} (first seen on line {seen[ex.sample_id]})",
-                line=line,
-            )
-        seen[ex.sample_id] = line
 
 
 def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
@@ -204,90 +222,94 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
         raise ParseError(
             "header must be sample_id,true_label,p_0,...,p_{K-1}", line=1
         )
-    k_file = len(header) - 2
     if universe is None:
-        universe = ClassUniverse.generic(k_file)
-    examples: list[LabeledExample] = []
-    line_numbers: list[int] = []
-    for offset, row in enumerate(lines[1:], start=2):
-        if not row.strip():
-            continue
-        fields = row.split(",")
-        if len(fields) < 3:
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(fields)}", line=offset
-            )
-        if len(fields) - 2 != universe.k:
-            raise DimensionMismatchError(
-                f"line {offset}: expected {universe.k} probabilities, got {len(fields) - 2}"
-            )
-        sample_id = fields[0]
-        label = _resolve_label(fields[1], universe, offset)
-        try:
-            values = [float(v) for v in fields[2:]]
-        except ValueError as exc:
-            raise ParseError(f"bad probability value: {exc}", line=offset) from exc
-        probs = _checked_probs(values, universe, offset)
-        examples.append(LabeledExample(sample_id, label, probs))
-        line_numbers.append(offset)
-    _check_ids_unique(examples, line_numbers)
-    return Dataset(universe=universe, examples=tuple(examples))
+        universe = ClassUniverse.generic(len(header) - 2)
+    rows = _Rows()
+    try:
+        for offset, row in enumerate(lines[1:], start=2):
+            if not row.strip():
+                continue
+            fields = row.split(",")
+            if len(fields) < 3:
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(fields)}", line=offset
+                )
+            _check_width(len(fields) - 2, universe, offset)
+            label = _resolve_label(fields[1], universe, offset)
+            try:
+                values = [float(v) for v in fields[2:]]
+            except ValueError as exc:
+                raise ParseError(f"bad probability value: {exc}", line=offset) from exc
+            rows.append(fields[0], label, values, offset)
+    except DataError as exc:
+        return rows.dataset(universe, exc)
+    return rows.dataset(universe, None)
 
 
 def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    examples: list[LabeledExample] = []
-    line_numbers: list[int] = []
-    for offset, row in enumerate(lines, start=1):
-        if not row.strip():
-            continue
-        try:
-            obj = json.loads(row)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", line=offset) from exc
-        try:
-            sample_id = str(obj["sample_id"])
-            raw_label = obj["true_label"]
-            values = [float(v) for v in obj["probs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed record: {exc}", line=offset) from exc
+    rows = _Rows()
+    try:
+        for offset, row in enumerate(lines, start=1):
+            if not row.strip():
+                continue
+            try:
+                obj = json.loads(row)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"bad JSON: {exc}", line=offset) from exc
+            try:
+                sample_id = str(obj["sample_id"])
+                raw_label = obj["true_label"]
+                values = [float(v) for v in obj["probs"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"malformed record: {exc}", line=offset) from exc
+            if universe is None:
+                universe = ClassUniverse.generic(len(values))
+            label = _resolve_label(raw_label, universe, offset)
+            _check_width(len(values), universe, offset)
+            rows.append(sample_id, label, values, offset)
+    except DataError as exc:
         if universe is None:
-            universe = ClassUniverse.generic(len(values))
-        label = _resolve_label(
-            raw_label if isinstance(raw_label, int) else str(raw_label),
-            universe,
-            offset,
-        )
-        probs = _checked_probs(values, universe, offset)
-        examples.append(LabeledExample(sample_id, label, probs))
-        line_numbers.append(offset)
+            raise
+        return rows.dataset(universe, exc)
     if universe is None:
         raise ParseError("empty JSONL file: cannot infer the class universe", line=1)
-    _check_ids_unique(examples, line_numbers)
-    return Dataset(universe=universe, examples=tuple(examples))
+    return rows.dataset(universe, None)
+
+
+# The loader splits the file with str.splitlines and each row on ",", with
+# no quoting, so an id may hold no comma, quote or line-breaking character.
+_CSV_UNSAFE_ID = re.compile('[,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]')
 
 
 def dataset_csv_text(dataset: Dataset) -> str:
+    for sample_id in dataset.ids:
+        if _CSV_UNSAFE_ID.search(sample_id):
+            raise DataError(
+                f"sample_id {sample_id!r} cannot be written to CSV:"
+                " it contains a comma, a double quote or a line break"
+            )
     header = "sample_id,true_label," + ",".join(
         f"p_{i}" for i in range(dataset.universe.k)
     )
     rows = [header]
-    for ex in dataset:
-        rows.append(
-            f"{ex.sample_id},{ex.true_label},"
-            + ",".join(repr(v) for v in ex.probs.values)
-        )
+    for sample_id, label, probs in zip(
+        dataset.ids, dataset.labels.tolist(), dataset.probs.tolist()
+    ):
+        rows.append(f"{sample_id},{label}," + ",".join(repr(v) for v in probs))
     return "\n".join(rows) + "\n"
 
 
 def dataset_jsonl_text(dataset: Dataset) -> str:
     lines = []
-    for ex in dataset:
+    for sample_id, label, probs in zip(
+        dataset.ids, dataset.labels.tolist(), dataset.probs.tolist()
+    ):
         lines.append(json.dumps({
-            "sample_id": ex.sample_id,
-            "true_label": ex.true_label,
-            "probs": list(ex.probs.values),
+            "sample_id": sample_id,
+            "true_label": label,
+            "probs": probs,
         }))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -368,9 +390,10 @@ def split(dataset: Dataset, spec: SplitSpec) -> dict[str, Dataset]:
     part_indices: list[list[int]] = [[] for _ in names]
 
     if spec.stratified:
+        labels = dataset.labels.tolist()
         by_class: dict[int, list[int]] = {}
         for idx in order:
-            by_class.setdefault(dataset[idx].true_label, []).append(idx)
+            by_class.setdefault(labels[idx], []).append(idx)
         for label in sorted(by_class):
             members = by_class[label]
             sizes = largest_remainder_sizes(len(members), fractions)
@@ -389,9 +412,12 @@ def split(dataset: Dataset, spec: SplitSpec) -> dict[str, Dataset]:
     for name, indices in zip(names, part_indices):
         if not indices:
             logger.warning("split part %r is empty", name)
+        rows = np.array(indices, dtype=np.intp)
         parts[name] = Dataset(
-            universe=dataset.universe,
-            examples=tuple(dataset[i] for i in indices),
+            dataset.universe,
+            tuple(dataset.ids[i] for i in indices),
+            dataset.labels[rows],
+            dataset.probs[rows],
         )
     return parts
 
@@ -443,11 +469,6 @@ def read_report(path: str | Path) -> EvaluationReport:
         return EvaluationReport.from_json_obj(json.load(handle))
 
 
-def write_curve(curve: CurveData, path: str | Path, fmt: str | None = None) -> None:
-    fmt = fmt or ("json" if Path(path).suffix.lower() == ".json" else "csv")
-    if fmt == "csv":
-        write_atomic(path, curve.to_csv_text())
-    elif fmt == "json":
-        write_atomic(path, curve.to_json_text())
-    else:
-        raise DataError(f"unknown curve format {fmt!r}")
+def write_curve(curve: CurveData, path: str | Path) -> None:
+    """Write the curve CSV: ``rank,score`` rows, then the threshold row."""
+    write_atomic(path, curve.to_csv_text())

@@ -26,6 +26,7 @@ from .core_types import (
     DataError,
     EmptyDatasetError,
     LengthMismatchError,
+    require_valid,
 )
 from .predictor import PredictionSet
 
@@ -162,11 +163,9 @@ def confusion_and_recall(
     """
     if len(data) == 0:
         raise EmptyDatasetError("cannot evaluate an empty dataset")
-    probs = data.probability_matrix()
-    predicted = np.argmax(probs, axis=1)
-    matrix = ConfusionMatrix.from_predictions(
-        data.label_array().tolist(), predicted.tolist(), data.universe.k
-    )
+    require_valid(data)
+    predicted = np.argmax(data.probability_matrix(), axis=1)
+    matrix = ConfusionMatrix.from_predictions(data.labels, predicted, data.universe.k)
     recalls = tuple(
         (matrix.counts[i][i] / rs) if rs > 0 else None
         for i, rs in enumerate(matrix.row_sums())
@@ -243,12 +242,13 @@ def evaluate(test: Dataset, sets: Sequence[PredictionSet]) -> EvaluationReport:
     Sets are aligned with the dataset by position; when a set carries a
     sample_id it must match the example at its position.
     """
-    labels = [ex.true_label for ex in test]
+    require_valid(test)
+    labels = test.labels.tolist()
     _check_aligned(sets, labels)
-    for ps, ex in zip(sets, test):
-        if ps.sample_id and ps.sample_id != ex.sample_id:
+    for ps, sample_id in zip(sets, test.ids):
+        if ps.sample_id and ps.sample_id != sample_id:
             raise DataError(
-                f"prediction for {ps.sample_id!r} does not align with sample {ex.sample_id!r}"
+                f"prediction for {ps.sample_id!r} does not align with sample {sample_id!r}"
             )
     k = test.universe.k
     per_strict, overall_strict = strict_coverage(sets, labels, k)

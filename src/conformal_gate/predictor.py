@@ -1,4 +1,4 @@
-"""Prediction sets under a calibrated threshold, plus argmax point predictions.
+"""Prediction sets under a calibrated threshold.
 
 A class k joins the prediction set when its nonconformity score 1 - p_k is
 less than or equal to the threshold (equivalently p_k >= 1 - threshold).
@@ -10,18 +10,11 @@ is never replaced by the argmax singleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .calibration import CalibrationResult
-from .core_types import (
-    Dataset,
-    DimensionMismatchError,
-    LabeledExample,
-    ProbVector,
-    require_valid,
-)
+from .calibration import CalibrationResult, nonconformity
+from .core_types import Dataset, require_valid
 
 
 @dataclass(frozen=True)
@@ -58,60 +51,13 @@ def _threshold_of(result: CalibrationResult | float) -> float:
     return float(result)
 
 
-def prediction_set(
-    probs: ProbVector | LabeledExample | Sequence[float],
-    result: CalibrationResult | float,
-    *,
-    sample_id: str = "",
-    n_classes: int | None = None,
-) -> PredictionSet:
-    """Prediction set for one sample: { k : 1 - p_k <= threshold }.
-
-    Accepts a labeled example (its sample_id is used), a ProbVector, or a
-    bare probability sequence; ``result`` may be a CalibrationResult or a
-    bare threshold value.
-    """
-    if isinstance(probs, LabeledExample):
-        sample_id = probs.sample_id
-        vector = probs.probs
-    elif isinstance(probs, ProbVector):
-        vector = probs
-    else:
-        vector = ProbVector(tuple(probs))
-    if n_classes is not None and len(vector) != n_classes:
-        raise DimensionMismatchError(
-            f"sample {sample_id!r}: expected {n_classes} probabilities, got {len(vector)}"
-        )
-    threshold = _threshold_of(result)
-    members = frozenset(k for k, p in enumerate(vector.values) if 1.0 - p <= threshold)
-    return PredictionSet(sample_id=sample_id, members=members)
-
-
 def predict_batch(
     test: Dataset, result: CalibrationResult | float
 ) -> list[PredictionSet]:
-    """One prediction set per test example, in input order.
-
-    Vectorized internally; bitwise identical to calling
-    :func:`prediction_set` per example.
-    """
+    """One prediction set per test example, in input order."""
     require_valid(test)
-    if len(test) == 0:
-        return []
-    probs = test.probability_matrix()
-    admitted = (1.0 - probs) <= _threshold_of(result)
-    ids = test.sample_ids()
+    admitted = nonconformity(test.probability_matrix()) <= _threshold_of(result)
     return [
-        PredictionSet(sample_id=ids[i], members=frozenset(np.flatnonzero(admitted[i]).tolist()))
-        for i in range(len(test))
+        PredictionSet(sample_id=sample_id, members=frozenset(np.flatnonzero(row).tolist()))
+        for sample_id, row in zip(test.ids, admitted)
     ]
-
-
-def argmax_class(probs: ProbVector | Sequence[float]) -> int:
-    """Smallest class index attaining the maximum probability."""
-    values = probs.values if isinstance(probs, ProbVector) else tuple(probs)
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best

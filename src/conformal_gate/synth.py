@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import Alpha, calibrate
-from .core_types import ClassUniverse, DataError, Dataset, LabeledExample, ProbVector
+from .core_types import ClassUniverse, DataError, Dataset
 from .metrics import marginal_coverage
 from .predictor import predict_batch
 from .rng import nth_output, output_block
@@ -71,10 +71,6 @@ def generate(spec: SyntheticSpec, n: int) -> Dataset:
     """Draw n i.i.d. labeled examples from the simulated classifier."""
     if n < 0:
         raise DataError(f"sample count must be nonnegative, got {n}")
-    universe = ClassUniverse.generic(spec.k)
-    if n == 0:
-        return Dataset(universe=universe, examples=())
-
     k = spec.k
     raw = output_block(spec.seed, n * (k + 3)).reshape(n, k + 3)
     r53 = raw >> _S11
@@ -94,15 +90,8 @@ def generate(spec: SyntheticSpec, n: int) -> Dataset:
     variates[rows, target] *= 1.0 + spec.sharpness
     probs = variates / variates.sum(axis=1, keepdims=True)
 
-    examples = tuple(
-        LabeledExample(
-            sample_id=f"synth-{i:06d}",
-            true_label=int(labels[i]),
-            probs=ProbVector(tuple(probs[i])),
-        )
-        for i in range(n)
-    )
-    return Dataset(universe=universe, examples=examples)
+    ids = tuple(f"synth-{i:06d}" for i in range(n))
+    return Dataset(ClassUniverse.generic(k), ids, labels, probs)
 
 
 @dataclass(frozen=True)
@@ -161,7 +150,7 @@ def coverage_trial(
         test = generate(test_spec, n_test)
         result = calibrate(calib, alpha)
         sets = predict_batch(test, result)
-        labels = test.label_array().tolist()
+        labels = test.labels.tolist()
         coverages.append(marginal_coverage(sets, labels))
     values = np.asarray(coverages, dtype=np.float64)
     return CoverageTrialResult(

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from conformal_gate import ClassUniverse, Dataset, LabeledExample, ProbVector
+from conformal_gate import ClassUniverse, Dataset
 
 
 def one_hot(k: int, index: int) -> tuple[float, ...]:
@@ -13,12 +14,13 @@ def one_hot(k: int, index: int) -> tuple[float, ...]:
 
 def make_dataset(k: int, rows) -> Dataset:
     """rows: iterable of (sample_id, true_label, probability sequence)."""
+    rows = list(rows)
+    probs = np.array([tuple(p) for _, _, p in rows], dtype=np.float64)
     return Dataset(
-        universe=ClassUniverse.generic(k),
-        examples=tuple(
-            LabeledExample(sid, label, ProbVector(tuple(probs)))
-            for sid, label, probs in rows
-        ),
+        ClassUniverse.generic(k),
+        tuple(sid for sid, _, _ in rows),
+        [label for _, label, _ in rows],
+        probs if rows else np.empty((0, k)),
     )
 
 

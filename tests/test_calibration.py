@@ -200,7 +200,6 @@ class TestCurveExport:
         curve = export_calibration_curve(result)
         assert curve.points == ((0, 0.1), (1, 0.2), (2, 0.3))
         assert curve.threshold == result.threshold == 0.3
-        assert curve.n == 3
 
     def test_single_score_goes_all_inclusive(self):
         result = calibrate_scores([0.5], 0.05)
@@ -226,10 +225,6 @@ class TestCurveExport:
         curve = export_calibration_curve(calibrate_scores([0.5], 0.05))
         assert curve.to_csv_text().splitlines()[-1] == "threshold,inf"
 
-    def test_json_object_shape(self):
+    def test_csv_curve_shape(self):
         curve = export_calibration_curve(calibrate_scores([0.5], 0.05))
-        obj = curve.to_json_obj()
-        assert obj["threshold"] == "all_inclusive"
-        assert obj["points"] == [[0, 0.5]]
-        assert obj["n"] == 1
-        assert obj["alpha"] == 0.05
+        assert curve.to_csv_text().splitlines() == ["rank,score", "0,0.5", "threshold,inf"]

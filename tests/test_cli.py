@@ -127,16 +127,52 @@ class TestPredictCommand:
         assert "line 2" in capsys.readouterr().err
 
     def test_universe_mismatch_warns_but_proceeds(self, tmp_path, caplog):
+        # same K, different class names: the threshold still applies
         calib = one_hot_csv(tmp_path, k=3)
         artifact = tmp_path / "a.json"
         run("calibrate", "--input", str(calib), "--out", str(artifact))
-        other = one_hot_csv(tmp_path, k=4, name="other.csv")
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(
+            [{"index": i, "name": name} for i, name in enumerate(["sheet", "swarf", "shred"])]
+        ))
         out = tmp_path / "p.jsonl"
         with caplog.at_level("WARNING", logger="conformal_gate.cli"):
-            assert run("predict", "--calibration", str(artifact),
-                       "--input", str(other), "--out", str(out)) == 0
+            assert run("predict", "--calibration", str(artifact), "--input", str(calib),
+                       "--classes", str(classes), "--out", str(out)) == 0
         assert any("universe" in r.message for r in caplog.records)
         assert len(out.read_text().splitlines()) == 100
+
+    def test_class_count_mismatch_exits_2(self, tmp_path, capsys):
+        calib = one_hot_csv(tmp_path, k=3)
+        artifact = tmp_path / "a.json"
+        run("calibrate", "--input", str(calib), "--out", str(artifact))
+        other = one_hot_csv(tmp_path, k=5, name="other.csv")
+        out = tmp_path / "p.jsonl"
+        assert run("predict", "--calibration", str(artifact),
+                   "--input", str(other), "--out", str(out)) == 2
+        assert "k=3" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("evaluate", "--calibration", str(artifact), "--input", str(other),
+                   "--out-json", str(tmp_path / "r.json"),
+                   "--out-csv", str(tmp_path / "r.csv")) == 2
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, float("inf"),
+                                           "0.5", True, None])
+    def test_bad_threshold_exits_2(self, tmp_path, capsys, threshold):
+        artifact = self._artifact(tmp_path, threshold)
+        test = one_hot_csv(tmp_path, n=4, name="test.csv")
+        out = tmp_path / "pred.jsonl"
+        assert run("predict", "--calibration", str(artifact), "--input", str(test),
+                   "--out", str(out)) == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", [0, 0.0, 1, 1.0, "all_inclusive"])
+    def test_threshold_bounds_are_accepted(self, tmp_path, threshold):
+        artifact = self._artifact(tmp_path, threshold)
+        test = one_hot_csv(tmp_path, n=4, name="test.csv")
+        assert run("predict", "--calibration", str(artifact), "--input", str(test),
+                   "--out", str(tmp_path / "pred.jsonl")) == 0
 
 
 class TestEvaluateCommand:
@@ -162,6 +198,23 @@ class TestEvaluateCommand:
                    "--predictions", str(predictions),
                    "--out-json", str(tmp_path / "r.json"),
                    "--out-csv", str(tmp_path / "r.csv")) == 2
+
+    @pytest.mark.parametrize("record", [
+        '{"sample_id": "s1", "members": [7]}',
+        '{"sample_id": "s1", "members": [-1]}',
+        '{"sample_id": "s1", "members": [true]}',
+        '{"sample_id": "s1", "members": [1.0]}',
+        '{"sample_id": "s1", "members": [1, 2], "set_size": 1}',
+    ])
+    def test_bad_prediction_record_exits_2_citing_line(self, tmp_path, capsys, record):
+        data = one_hot_csv(tmp_path, n=3)
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text('{"sample_id": "s0", "members": [0], "set_size": 1}\n'
+                               + record + '\n{"sample_id": "s2", "members": [2]}\n')
+        assert run("evaluate", "--input", str(data), "--predictions", str(predictions),
+                   "--out-json", str(tmp_path / "r.json"),
+                   "--out-csv", str(tmp_path / "r.csv")) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_needs_calibration_or_predictions(self, tmp_path):
         calib = one_hot_csv(tmp_path)

@@ -11,14 +11,18 @@ from conformal_gate import (
     ClassLabel,
     ClassUniverse,
     DataError,
-    Dataset,
     DimensionMismatchError,
-    LabeledExample,
-    ProbVector,
+    InvalidDatasetError,
+    require_valid,
     validate_dataset,
 )
 
 from conftest import make_dataset, one_hot
+
+
+def stored(values) -> tuple[float, ...]:
+    """The row a one-row dataset stores for ``values`` under the mass policy."""
+    return tuple(make_dataset(len(values), [("x", 0, values)]).probs[0].tolist())
 
 
 class TestClassUniverse:
@@ -45,31 +49,39 @@ class TestClassUniverse:
 class TestProbVectorPolicy:
     def test_clean_vector_is_untouched(self):
         values = (0.25, 0.25, 0.5)
-        assert ProbVector(values).values == values
+        assert stored(values) == values
 
     def test_tiny_deviation_is_left_alone(self):
         # within 1e-9 of unit mass: renormalizing float dust would break
         # bit-exact round trips
         values = (0.5, 0.5 + 1e-10)
-        assert ProbVector(values).values == values
+        assert stored(values) == values
 
-    def test_small_deviation_renormalized_silently(self):
-        pv = ProbVector((0.5, 0.5 + 1e-7))
-        assert abs(pv.mass() - 1.0) < 1e-12
+    def test_small_deviation_renormalized_silently(self, caplog):
+        with caplog.at_level("WARNING", logger="conformal_gate"):
+            row = stored((0.5, 0.5 + 1e-7))
+        assert abs(math.fsum(row) - 1.0) < 1e-12
+        assert not caplog.records
 
     def test_warn_band_renormalizes_and_logs(self, caplog):
         with caplog.at_level("WARNING", logger="conformal_gate.core_types"):
-            pv = ProbVector((0.5, 0.5005))
-        assert abs(pv.mass() - 1.0) < 1e-12
+            row = stored((0.5, 0.5005))
+        assert abs(math.fsum(row) - 1.0) < 1e-12
         assert any("renormalizing" in record.message for record in caplog.records)
 
+    def test_warn_band_logs_one_line_naming_the_first_rows(self, caplog):
+        rows = [(f"s{i}", 0, (0.5, 0.5005) if i % 2 else (0.5, 0.5)) for i in range(1000)]
+        with caplog.at_level("WARNING"):
+            make_dataset(2, rows)
+        [record] = [r for r in caplog.records if r.name.startswith("conformal_gate")]
+        assert "renormalizing 500 " in record.message
+        assert record.message.endswith("first at rows 1, 3, 5, 7, 9")
+
     def test_large_deviation_left_raw_for_validation(self):
-        pv = ProbVector((0.4, 0.4))
-        assert pv.values == (0.4, 0.4)
+        assert stored((0.4, 0.4)) == (0.4, 0.4)
 
     def test_non_finite_left_raw(self):
-        pv = ProbVector((float("nan"), 1.0))
-        assert math.isnan(pv.values[0])
+        assert math.isnan(stored((float("nan"), 1.0))[0])
 
     def test_renormalization_preserves_argmax_and_order(self):
         rng = np.random.default_rng(2024)
@@ -77,11 +89,11 @@ class TestProbVectorPolicy:
             k = int(rng.integers(2, 12))
             raw = rng.random(k)
             raw = raw / raw.sum() * (1.0 + rng.uniform(-9e-4, 9e-4))
-            pv = ProbVector(tuple(raw))
+            row = stored(tuple(raw))
             order_before = np.argsort(raw, kind="stable")
-            order_after = np.argsort(pv.values, kind="stable")
+            order_after = np.argsort(row, kind="stable")
             assert order_before.tolist() == order_after.tolist()
-            assert int(np.argmax(raw)) == int(np.argmax(pv.values))
+            assert int(np.argmax(raw)) == int(np.argmax(row))
 
 
 class TestValidateDataset:
@@ -119,10 +131,15 @@ class TestValidateDataset:
         assert any("true_label" in v.reason for v in report)
 
     def test_wrong_dimension_reported(self):
-        universe = ClassUniverse.generic(3)
-        d = Dataset(universe, (LabeledExample("a", 0, ProbVector((1.0, 0.0))),))
-        report = validate_dataset(d)
-        assert any("expected 3 probabilities" in v.reason for v in report)
+        with pytest.raises(DimensionMismatchError, match="expected 3 probabilities"):
+            make_dataset(3, [("a", 0, (1.0, 0.0))])
+
+    def test_violations_name_their_row_and_require_valid_raises(self):
+        d = make_dataset(2, [("a", 0, (1.0, 0.0)), ("b", 0, (0.4, 0.4))])
+        [violation] = d.violations
+        assert violation.row == 1
+        with pytest.raises(InvalidDatasetError, match="probability mass 0.8"):
+            require_valid(d)
 
 
 class TestValidatedDataFlowsEverywhere:
@@ -164,17 +181,17 @@ class TestDatasetAccessors:
     def test_matrix_and_labels_round_trip(self):
         d = make_dataset(3, [("a", 0, (0.7, 0.2, 0.1)), ("b", 2, (0.1, 0.1, 0.8))])
         matrix = d.probability_matrix()
+        assert matrix is d.probs
         assert matrix.shape == (2, 3)
         assert matrix[1, 2] == 0.8
         assert not matrix.flags.writeable
-        assert d.label_array().tolist() == [0, 2]
-        assert d.sample_ids() == ("a", "b")
+        assert not d.labels.flags.writeable
+        assert d.labels.tolist() == [0, 2]
+        assert d.ids == ("a", "b")
 
     def test_ragged_matrix_raises(self):
-        universe = ClassUniverse.generic(3)
-        d = Dataset(universe, (LabeledExample("a", 0, ProbVector((1.0, 0.0))),))
         with pytest.raises(DimensionMismatchError):
-            d.probability_matrix()
+            make_dataset(3, [("a", 0, (1.0, 0.0))])
 
     def test_datasets_with_equal_content_compare_equal(self):
         rows = [("a", 0, (0.7, 0.3)), ("b", 1, (0.2, 0.8))]

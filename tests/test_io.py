@@ -9,6 +9,7 @@ import pytest
 
 from conformal_gate import (
     ClassUniverse,
+    DataError,
     DimensionMismatchError,
     ParseError,
     SplitSpec,
@@ -40,8 +41,8 @@ class TestLoadCsv:
         )
         d = load_probabilities(path)
         assert len(d) == 3
-        assert d[1].true_label == 1
-        assert d[2].probs.values == (0.0, 0.0, 1.0)
+        assert d.labels[1] == 1
+        assert tuple(d.probs[2].tolist()) == (0.0, 0.0, 1.0)
 
     def test_short_row_is_dimension_mismatch_with_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -60,7 +61,7 @@ class TestLoadCsv:
             "a,Shredder,0.2,0.8\n"
         )
         d = load_probabilities(path, universe=universe)
-        assert d[0].true_label == 1
+        assert d.labels[0] == 1
 
     def test_unknown_label_name(self, tmp_path):
         universe = ClassUniverse.from_names(["a", "b"])
@@ -81,6 +82,16 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 2"):
             load_probabilities(path)
 
+    def test_entries_are_checked_after_renormalization(self, tmp_path):
+        # one mass policy for files and in-memory data: 1.0000005 / 1.0000005
+        path = tmp_path / "d.csv"
+        path.write_text("sample_id,true_label,p_0,p_1\nx,0,1.0000005,0.0\n")
+        assert load_probabilities(path).probs.tolist() == [[1.0, 0.0]]
+        # 1.0 / 0.9999995 is the entry outside [0, 1] once the row is renormalized
+        path.write_text("sample_id,true_label,p_0,p_1\nx,0,1.0,-0.0000005\n")
+        with pytest.raises(ParseError, match=r"line 2: probability 1\.0000005 outside"):
+            load_probabilities(path)
+
     def test_duplicate_sample_id_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(
@@ -88,6 +99,29 @@ class TestLoadCsv:
         )
         with pytest.raises(ParseError, match="duplicate"):
             load_probabilities(path)
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "sample_id,true_label,p_0,p_1\n"
+            "a,0,1.0,0.0\na,1,0.0,1.0\nb,0,0.4,0.4\nc,0,oops,0.5\n"
+        )
+        with pytest.raises(ParseError, match="line 4: probability mass 0.8"):
+            load_probabilities(path)
+        path.write_text("sample_id,true_label,p_0,p_1\na,0,1.0,0.0\na,1,0.0,1.0\nc,0,oops,0.5\n")
+        with pytest.raises(ParseError, match="line 4: bad probability value"):
+            load_probabilities(path)
+
+    def test_warn_band_rows_give_one_warning_with_line_numbers(self, tmp_path, caplog):
+        path = tmp_path / "d.csv"
+        rows = [f"s{i},0,0.5,0.5005" for i in range(1000)]
+        path.write_text("sample_id,true_label,p_0,p_1\n" + "\n".join(rows) + "\n")
+        with caplog.at_level("WARNING"):
+            d = load_probabilities(path)
+        assert len(d) == 1000
+        [record] = [r for r in caplog.records if r.name.startswith("conformal_gate")]
+        assert "renormalizing 1000 " in record.message
+        assert record.message.endswith("first at lines 2, 3, 4, 5, 6")
 
 
 class TestLoadJsonl:
@@ -99,12 +133,21 @@ class TestLoadJsonl:
             + "\n"
         )
         d = load_probabilities(path, universe=universe)
-        assert d[0].true_label == 1
+        assert d.labels[0] == 1
 
     def test_bad_json_cites_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"sample_id": "a", "true_label": 0, "probs": [1.0, 0.0]}\n{oops\n')
         with pytest.raises(ParseError, match="line 2"):
+            load_probabilities(path)
+
+    def test_boolean_label_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"sample_id": "a", "true_label": 0, "probs": [1.0, 0.0]}\n'
+            '{"sample_id": "b", "true_label": true, "probs": [0.0, 1.0]}\n'
+        )
+        with pytest.raises(UnknownLabelError, match="line 2"):
             load_probabilities(path)
 
 
@@ -116,6 +159,16 @@ class TestRoundTrips:
         write_dataset(d, path, fmt=fmt)
         loaded = load_probabilities(path, universe=d.universe, fmt=fmt)
         assert loaded == d
+
+    @pytest.mark.parametrize("sample_id", ["x,y", 'say "hi"', "two\nlines", "cr\r", "vt\x0b",
+                                           "ls\u2028"])
+    def test_csv_rejects_ids_it_cannot_load_back(self, tmp_path, sample_id):
+        d = make_dataset(2, [(sample_id, 0, (1.0, 0.0))])
+        with pytest.raises(DataError, match="cannot be written to CSV"):
+            write_dataset(d, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+        write_dataset(d, tmp_path / "d.jsonl")
+        assert load_probabilities(tmp_path / "d.jsonl", universe=d.universe) == d
 
     def test_universe_round_trip(self, tmp_path):
         universe = ClassUniverse.from_names(["Steel Sheets", "Swarf Scrap", "Shredder"])
@@ -165,8 +218,8 @@ class TestSplit:
         parts = split(
             d, SplitSpec((("train", 0.75), ("val", 0.15), ("test", 0.10)), seed=9)
         )
-        ids = [ex.sample_id for part in parts.values() for ex in part]
-        assert sorted(ids) == sorted(d.sample_ids())
+        ids = [sample_id for part in parts.values() for sample_id in part.ids]
+        assert sorted(ids) == sorted(d.ids)
         assert len(set(ids)) == len(ids)
 
     def test_same_seed_twice_is_identical(self):
@@ -187,9 +240,9 @@ class TestSplit:
         spec = SplitSpec((("calib", 0.5), ("test", 0.5)), seed=3, stratified=True)
         parts = split(d, spec)
         for label in range(3):
-            total = sum(1 for ex in d if ex.true_label == label)
+            total = int((d.labels == label).sum())
             for part in parts.values():
-                count = sum(1 for ex in part if ex.true_label == label)
+                count = int((part.labels == label).sum())
                 assert abs(count - total / 2) <= 1
 
     def test_empty_part_warns_but_does_not_fail(self, caplog):

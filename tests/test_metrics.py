@@ -10,6 +10,7 @@ from conformal_gate import (
     DataError,
     EmptyDatasetError,
     EvaluationReport,
+    InvalidDatasetError,
     LengthMismatchError,
     PredictionSet,
     avg_set_size,
@@ -153,7 +154,7 @@ class TestConfusionAndRecall:
         correct_total = 0
         for c in range(5):
             # second, deliberately naive implementation: filter then count
-            members = [i for i, ex in enumerate(data) if ex.true_label == c]
+            members = np.flatnonzero(data.labels == c).tolist()
             hits = sum(
                 1 for i in members if int(np.argmax(probs[i])) == c
             )
@@ -191,7 +192,7 @@ class TestEvaluate:
         )
         assert report.overall_avg_set_size == total_size / report.n_test
         assert report.confusion.row_sums() == tuple(
-            sum(1 for ex in data if ex.true_label == c) for c in range(4)
+            int((data.labels == c).sum()) for c in range(4)
         )
         assert report.accuracy == report.confusion.trace() / report.confusion.total()
 
@@ -222,6 +223,13 @@ class TestEvaluate:
         rotated = sets[1:] + sets[:1]
         with pytest.raises(DataError):
             evaluate(data, rotated)
+
+    def test_invalid_dataset_rejected_as_data_error(self):
+        d = make_dataset(2, [("a", -1, (1.0, 0.0)), ("b", 1, (0.0, 1.0))])
+        with pytest.raises(InvalidDatasetError, match="true_label -1"):
+            evaluate(d, [ps({0}), ps({1})])
+        with pytest.raises(InvalidDatasetError):
+            confusion_and_recall(d)
 
     def test_json_round_trip_is_exact(self):
         _, _, report = self._report(seed=55)

@@ -8,15 +8,25 @@ import pytest
 from conformal_gate import (
     ALL_INCLUSIVE,
     DimensionMismatchError,
-    LabeledExample,
-    ProbVector,
-    argmax_class,
+    PredictionSet,
     calibrate_scores,
+    confusion_and_recall,
     predict_batch,
-    prediction_set,
 )
 
 from conftest import make_dataset, one_hot
+
+
+def prediction_set(probs, threshold, sample_id: str = "") -> PredictionSet:
+    """The prediction set of a one-row dataset."""
+    (ps,) = predict_batch(make_dataset(len(probs), [(sample_id, 0, probs)]), threshold)
+    return ps
+
+
+def argmax_class(probs) -> int:
+    """The point prediction that evaluation counts, for a one-row dataset."""
+    matrix, _, _ = confusion_and_recall(make_dataset(len(probs), [("x", 0, probs)]))
+    return matrix.counts[0].index(1)
 
 
 def brute_force_members(probs, threshold: float) -> set[int]:
@@ -28,37 +38,36 @@ def brute_force_members(probs, threshold: float) -> set[int]:
 
 class TestPredictionSet:
     def test_confident_vector_gives_singleton(self):
-        ps = prediction_set(ProbVector((0.9, 0.05, 0.05)), 0.2, sample_id="x")
+        ps = prediction_set((0.9, 0.05, 0.05), 0.2, sample_id="x")
         assert ps.members == frozenset({0})
         assert ps.set_size == 1
 
     def test_uniform_nine_class_vector_gives_empty_set(self):
         # every score is 8/9 > 0.4858, so no class survives
-        ps = prediction_set(ProbVector((1.0 / 9,) * 9), 0.4858)
+        ps = prediction_set((1.0 / 9,) * 9, 0.4858)
         assert ps.members == frozenset()
         assert ps.set_size == 0
 
     def test_all_inclusive_admits_all_nine_classes(self):
-        ps = prediction_set(ProbVector((1.0 / 9,) * 9), ALL_INCLUSIVE)
+        ps = prediction_set((1.0 / 9,) * 9, ALL_INCLUSIVE)
         assert ps.members == frozenset(range(9))
         assert ps.set_size == 9
 
     def test_boundary_score_is_included(self):
         # 1 - 0.75 is exactly 0.25: a score equal to the threshold survives
-        ps = prediction_set(ProbVector((0.75, 0.25)), 0.25)
+        ps = prediction_set((0.75, 0.25), 0.25)
         assert ps.members == frozenset({0})
-        assert prediction_set(ProbVector((0.75, 0.25)), 0.2).members == frozenset()
+        assert prediction_set((0.75, 0.25), 0.2).members == frozenset()
 
     def test_accepts_labeled_example_and_calibration_result(self):
         result = calibrate_scores([0.1, 0.2, 0.3, 0.4], 0.5)
-        ex = LabeledExample("sample-7", 0, ProbVector((0.9, 0.1)))
-        ps = prediction_set(ex, result)
+        (ps,) = predict_batch(make_dataset(2, [("sample-7", 0, (0.9, 0.1))]), result)
         assert ps.sample_id == "sample-7"
         assert 0 in ps.members
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            prediction_set(ProbVector((0.5, 0.5)), 0.2, n_classes=3)
+            predict_batch(make_dataset(3, [("x", 0, (0.5, 0.5))]), 0.2)
 
 
 class TestPredictBatch:
@@ -85,8 +94,8 @@ class TestPredictBatch:
         d = make_dataset(6, [(f"s{i}", 0, tuple(raw[i])) for i in range(200)])
         threshold = 0.37
         batch = predict_batch(d, threshold)
-        for ps, ex in zip(batch, d):
-            assert ps == prediction_set(ex, threshold)
+        for ps, sample_id, row in zip(batch, d.ids, d.probs):
+            assert ps == prediction_set(tuple(row), threshold, sample_id=sample_id)
 
     def test_preserves_input_order(self):
         d = make_dataset(2, [(f"s{i}", 0, (0.8, 0.2)) for i in range(20)])
@@ -101,60 +110,60 @@ class TestMonotonicityAndDuality:
         for _ in range(1000):
             k = int(rng.integers(2, 12))
             raw = rng.random(k)
-            pv = ProbVector(tuple(raw / raw.sum()))
+            probs = tuple(raw / raw.sum())
             t1, t2 = sorted(rng.uniform(0.0, 1.2, size=2))
-            small = prediction_set(pv, t1).members
-            large = prediction_set(pv, t2).members
+            small = prediction_set(probs, t1).members
+            large = prediction_set(probs, t2).members
             assert small <= large
-            assert prediction_set(pv, ALL_INCLUSIVE).members >= large
+            assert prediction_set(probs, ALL_INCLUSIVE).members >= large
 
     def test_dual_formulations_agree_on_random_pairs(self):
         rng = np.random.default_rng(24)
         for _ in range(1000):
             k = int(rng.integers(2, 12))
             raw = rng.random(k)
-            pv = ProbVector(tuple(raw / raw.sum()))
+            probs = tuple(raw / raw.sum())
             threshold = float(rng.uniform(0.0, 1.0))
-            assert set(prediction_set(pv, threshold).members) == brute_force_members(
-                pv.values, threshold
+            assert set(prediction_set(probs, threshold).members) == brute_force_members(
+                probs, threshold
             )
 
     def test_argmax_always_in_nonempty_sets(self):
         rng = np.random.default_rng(25)
         for _ in range(500):
             raw = rng.random(9)
-            pv = ProbVector(tuple(raw / raw.sum()))
+            probs = tuple(raw / raw.sum())
             threshold = float(rng.uniform(0.0, 1.0))
-            members = prediction_set(pv, threshold).members
+            members = prediction_set(probs, threshold).members
             if members:
-                assert argmax_class(pv) in members
+                assert argmax_class(probs) in members
 
     def test_nine_class_sets_never_empty_above_eight_ninths(self):
         # the argmax has p >= 1/9, so its score is at most 8/9
         rng = np.random.default_rng(26)
         for _ in range(500):
             raw = rng.random(9)
-            pv = ProbVector(tuple(raw / raw.sum()))
-            assert prediction_set(pv, 8.0 / 9).set_size >= 1
+            probs = tuple(raw / raw.sum())
+            assert prediction_set(probs, 8.0 / 9).set_size >= 1
 
 
 class TestArgmax:
     def test_plain_maximum(self):
-        assert argmax_class(ProbVector((0.1, 0.7, 0.2))) == 1
+        assert argmax_class((0.1, 0.7, 0.2)) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        assert argmax_class(ProbVector((0.5, 0.5))) == 0
+        assert argmax_class((0.5, 0.5)) == 0
 
     def test_one_hot_at_last_index(self):
-        assert argmax_class(ProbVector(one_hot(9, 8))) == 8
+        assert argmax_class(one_hot(9, 8)) == 8
 
 
 class TestSerialization:
     def test_json_object_with_true_label(self):
-        ps = prediction_set(ProbVector((0.9, 0.05, 0.05)), 0.2, sample_id="x")
+        ps = prediction_set((0.9, 0.05, 0.05), 0.2, sample_id="x")
         obj = ps.to_json_obj(true_label=0)
         assert obj == {"sample_id": "x", "members": [0], "set_size": 1, "true_label": 0}
 
     def test_json_object_without_true_label(self):
-        ps = prediction_set(ProbVector((0.5, 0.5)), ALL_INCLUSIVE, sample_id="y")
+        ps = prediction_set((0.5, 0.5), ALL_INCLUSIVE, sample_id="y")
         assert ps.to_json_obj() == {"sample_id": "y", "members": [0, 1], "set_size": 2}

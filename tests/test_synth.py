@@ -50,16 +50,16 @@ class TestGenerate:
     def test_huge_sharpness_with_no_noise_makes_argmax_true(self):
         d = generate(SyntheticSpec(k=5, seed=3, sharpness=1e9, noise=0.0), 200)
         probs = d.probability_matrix()
-        assert np.array_equal(np.argmax(probs, axis=1), d.label_array())
+        assert np.array_equal(np.argmax(probs, axis=1), d.labels)
 
     def test_class_weights_steer_the_label_prior(self):
         spec = SyntheticSpec(k=3, class_weights=(0.8, 0.1, 0.1), seed=5)
-        labels = generate(spec, 2000).label_array()
+        labels = generate(spec, 2000).labels
         assert (labels == 0).mean() > 0.7
 
     def test_sample_ids_are_unique(self):
         d = generate(SyntheticSpec(k=3, seed=8), 500)
-        assert len(set(d.sample_ids())) == 500
+        assert len(set(d.ids)) == 500
 
 
 class TestCoverageTrial:
