@@ -45,7 +45,6 @@ from .io import (
 from .metrics import (
     ConfusionMatrix,
     EvaluationReport,
-    SetSizeHistogram,
     avg_set_size,
     confusion_and_recall,
     evaluate,
@@ -53,7 +52,7 @@ from .metrics import (
     strict_coverage,
     uncertain_histogram,
 )
-from .predictor import PredictionSet, predict_batch
+from .predictor import PredictionSet, PredictionSets, predict_batch
 from .synth import CoverageTrialResult, SyntheticSpec, coverage_trial, generate
 
 __version__ = "0.1.0"
@@ -77,7 +76,7 @@ __all__ = [
     "LengthMismatchError",
     "ParseError",
     "PredictionSet",
-    "SetSizeHistogram",
+    "PredictionSets",
     "SplitSpec",
     "SyntheticSpec",
     "UnknownLabelError",

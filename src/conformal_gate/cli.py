@@ -22,7 +22,7 @@ from . import io as cgio
 from .calibration import ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve
 from .core_types import DataError
 from .metrics import evaluate
-from .predictor import PredictionSet, predict_batch
+from .predictor import predict_batch
 from .rng import nth_output
 from .synth import SyntheticSpec, coverage_trial, generate
 
@@ -155,41 +155,9 @@ def cmd_predict(args) -> int:
     dataset = _load_input(args.input, args.classes)
     threshold = _read_artifact(args.calibration, dataset.universe)
     sets = predict_batch(dataset, threshold)
-    lines = [
-        json.dumps(ps.to_json_obj(true_label=label))
-        for ps, label in zip(sets, dataset.labels.tolist())
-    ]
-    cgio.write_atomic(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    cgio.write_predictions(sets, args.out, dataset.labels)
     print(f"wrote {len(sets)} prediction sets to {args.out}")
     return EXIT_OK
-
-
-def _load_prediction_file(path: str, k: int) -> list[PredictionSet]:
-    """Prediction records whose members are class indices in [0, k)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = handle.read().splitlines()
-    sets = []
-    for offset, row in enumerate(rows, start=1):
-        if not row.strip():
-            continue
-        try:
-            obj = json.loads(row)
-            sample_id, members = str(obj["sample_id"]), list(obj["members"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise cgio.ParseError(f"bad prediction record: {exc}", line=offset) from exc
-        for m in members:
-            if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < k:
-                raise cgio.ParseError(
-                    f"member {m!r} is not a class index in [0, {k})", line=offset
-                )
-        ps = PredictionSet(sample_id, frozenset(members))
-        if "set_size" in obj and obj["set_size"] != ps.set_size:
-            raise cgio.ParseError(
-                f"set_size {obj['set_size']!r} differs from the {ps.set_size} members",
-                line=offset,
-            )
-        sets.append(ps)
-    return sets
 
 
 def _print_summary(report) -> None:
@@ -222,7 +190,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     dataset = _load_input(args.input, args.classes)
     if args.predictions:
-        sets = _load_prediction_file(args.predictions, dataset.universe.k)
+        sets = cgio.load_predictions(args.predictions, dataset.universe.k)
     else:
         sets = predict_batch(dataset, _read_artifact(args.calibration, dataset.universe))
     report = evaluate(dataset, sets)

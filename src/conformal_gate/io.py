@@ -5,7 +5,9 @@ Formats (UTF-8, LF line endings, ``.`` decimal separator):
 * dataset CSV    - header ``sample_id,true_label,p_0,...,p_{K-1}``; labels
   may be class indices or class names resolvable via the universe;
 * dataset JSONL  - one ``{"sample_id", "true_label", "probs": [...]}``
-  object per line;
+  object per line; the id is a JSON string, probs an array of numbers;
+* prediction JSONL - one ``{"sample_id", "members", "set_size"}`` object per
+  set, plus ``"true_label"`` when known; members are sorted class indices;
 * classes.json   - ``[{"index": 0, "name": "..."}, ...]``;
 * report JSON    - full precision, schema defined by EvaluationReport;
 * report CSV     - one row per class plus a trailing ``overall`` row,
@@ -27,7 +29,7 @@ import logging
 import math
 import os
 import re
-import tempfile
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,7 +46,8 @@ from .core_types import (
     DimensionMismatchError,
 )
 from .metrics import EvaluationReport
-from .rng import SplitMix64
+from .predictor import PredictionSets
+from .rng import output_block
 
 logger = logging.getLogger("conformal_gate.io")
 
@@ -63,12 +66,19 @@ class UnknownLabelError(ParseError):
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and rename, never a partial file."""
+    """Write text to path via a temp file and rename, never a partial file.
+
+    The file gets the mode a plain ``open`` gives it (0o666 less the umask).
+    The file is synced to disk before the rename and its directory after it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -76,6 +86,11 @@ def write_atomic(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +274,17 @@ def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc}", line=offset) from exc
             try:
-                sample_id = str(obj["sample_id"])
-                raw_label = obj["true_label"]
-                values = [float(v) for v in obj["probs"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
+            except (KeyError, TypeError) as exc:
                 raise ParseError(f"malformed record: {exc}", line=offset) from exc
+            if type(sample_id) is not str:
+                raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
+            if type(probs) is not list or not all(type(v) in (int, float) for v in probs):
+                raise ParseError("probs is not a JSON array of numbers", line=offset)
+            try:
+                values = [float(v) for v in probs]
+            except OverflowError as exc:
+                raise ParseError(f"probs entry out of float range: {exc}", line=offset) from exc
             if universe is None:
                 universe = ClassUniverse.generic(len(values))
             label = _resolve_label(raw_label, universe, offset)
@@ -325,6 +346,59 @@ def write_dataset(dataset: Dataset, path: str | Path, fmt: str | None = None) ->
 
 
 # ---------------------------------------------------------------------------
+# prediction sets
+
+
+def write_predictions(
+    sets: PredictionSets, path: str | Path, labels: np.ndarray | None = None
+) -> None:
+    """Write one prediction JSONL line per set, with ``true_label`` when labels are given."""
+    labels = [None] * len(sets) if labels is None else np.asarray(labels).tolist()
+    lines = []
+    for sample_id, members, label in zip(sets.ids, sets.member_lists(), labels):
+        obj = {"sample_id": sample_id, "members": members, "set_size": len(members)}
+        if label is not None:
+            obj["true_label"] = label
+        lines.append(json.dumps(obj))
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def load_predictions(path: str | Path, k: int) -> PredictionSets:
+    """Read prediction JSONL into sets over k classes.
+
+    A member that is not an int in [0, k) (bools included), or a ``set_size``
+    other than the count of distinct members, is a ParseError with its line.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    ids: list[str] = []
+    rows: list[int] = []
+    columns: list[int] = []
+    for offset, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            sample_id, members = str(obj["sample_id"]), list(obj["members"])
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ParseError(f"bad prediction record: {exc}", line=offset) from exc
+        for m in members:
+            if type(m) is not int or not 0 <= m < k:
+                raise ParseError(f"member {m!r} is not a class index in [0, {k})", line=offset)
+        size = len(set(members))
+        if "set_size" in obj and obj["set_size"] != size:
+            raise ParseError(
+                f"set_size {obj['set_size']!r} differs from the {size} members", line=offset
+            )
+        rows.extend([len(ids)] * len(members))
+        columns.extend(members)
+        ids.append(sample_id)
+    mask = np.zeros((len(ids), k), dtype=bool)
+    mask[rows, columns] = True
+    return PredictionSets(ids, mask)
+
+
+# ---------------------------------------------------------------------------
 # splitting
 
 
@@ -369,10 +443,13 @@ def largest_remainder_sizes(total: int, fractions: Sequence[float]) -> list[int]
 
 
 def _shuffled_indices(n: int, seed: int) -> list[int]:
+    """Fisher-Yates, drawing j in [0, i] from stream output r as ((r >> 11) * (i + 1)) >> 53.
+
+    The product is taken on Python ints: in uint64 it overflows once i + 1 > 2048.
+    """
     indices = list(range(n))
-    stream = SplitMix64(seed)
-    for i in range(n - 1, 0, -1):
-        j = stream.next_below(i + 1)
+    for i, r in zip(range(n - 1, 0, -1), output_block(seed, n - 1).tolist()):
+        j = ((r >> 11) * (i + 1)) >> 53
         indices[i], indices[j] = indices[j], indices[i]
     return indices
 

@@ -7,150 +7,109 @@ Two coverage notions are computed side by side and must not be conflated:
 * marginal coverage  - the true label is in the set regardless of size.
   This is the quantity the calibration guarantee bounds from below.
 
-Strict coverage <= marginal coverage on every input.  All metrics
-accumulate integer counters and divide once at the end, so aggregation is
-exact and order-independent.  Classes absent from the evaluated data report
-None (not 0) for their per-class metrics.
+Strict coverage <= marginal coverage on every input.  Every metric is an
+array expression over the sets' membership mask [n, K] and the labels:
+``covered = mask[arange(n), labels]``, and per-class totals come from
+``np.bincount(labels, ...)``.  Counts are exact integers divided once at
+the end.  Classes absent from the evaluated data report None (not 0) for
+their per-class metrics.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core_types import (
     Dataset,
     DataError,
+    DimensionMismatchError,
     EmptyDatasetError,
     LengthMismatchError,
     require_valid,
 )
-from .predictor import PredictionSet
+from .predictor import PredictionSets
 
 PerClass = tuple[float | None, ...]
 
 
-def _check_aligned(sets: Sequence[PredictionSet], labels: Sequence[int]) -> None:
+def _aligned_labels(sets: PredictionSets, labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
     if len(sets) != len(labels):
         raise LengthMismatchError(
             f"{len(sets)} prediction sets vs {len(labels)} labels"
         )
     if len(sets) == 0:
         raise EmptyDatasetError("no samples to evaluate")
+    return labels
 
 
-def _rates(hits: list[int], totals: list[int]) -> PerClass:
+def _covered(sets: PredictionSets, labels: np.ndarray) -> np.ndarray:
+    return sets.mask[np.arange(len(labels)), labels]
+
+
+def _per_class(sums: np.ndarray, totals: np.ndarray) -> PerClass:
     return tuple(
-        (h / t) if t > 0 else None for h, t in zip(hits, totals)
+        (s / t) if t > 0 else None for s, t in zip(sums.tolist(), totals.tolist())
     )
 
 
 def strict_coverage(
-    sets: Sequence[PredictionSet], labels: Sequence[int], n_classes: int
+    sets: PredictionSets, labels, n_classes: int
 ) -> tuple[PerClass, float]:
     """Fraction of samples whose prediction set is a correct singleton.
 
     Returns (per-class rates over true-class subsets, overall rate).
     """
-    _check_aligned(sets, labels)
-    hits = [0] * n_classes
-    totals = [0] * n_classes
-    covered = 0
-    for ps, label in zip(sets, labels):
-        totals[label] += 1
-        if ps.set_size == 1 and label in ps.members:
-            hits[label] += 1
-            covered += 1
-    return _rates(hits, totals), covered / len(sets)
+    labels = _aligned_labels(sets, labels)
+    hit = _covered(sets, labels) & (sets.sizes == 1)
+    hits = np.bincount(labels[hit], minlength=n_classes)
+    totals = np.bincount(labels, minlength=n_classes)
+    return _per_class(hits, totals), int(hit.sum()) / len(labels)
 
 
-def marginal_coverage(sets: Sequence[PredictionSet], labels: Sequence[int]) -> float:
+def marginal_coverage(sets: PredictionSets, labels) -> float:
     """Fraction of samples whose prediction set contains the true label."""
-    _check_aligned(sets, labels)
-    covered = sum(1 for ps, label in zip(sets, labels) if label in ps.members)
-    return covered / len(sets)
+    labels = _aligned_labels(sets, labels)
+    return int(_covered(sets, labels).sum()) / len(labels)
 
 
 def avg_set_size(
-    sets: Sequence[PredictionSet], labels: Sequence[int], n_classes: int
+    sets: PredictionSets, labels, n_classes: int
 ) -> tuple[PerClass, float]:
     """Arithmetic mean of prediction-set sizes, per true class and overall."""
-    _check_aligned(sets, labels)
-    size_sums = [0] * n_classes
-    totals = [0] * n_classes
-    grand = 0
-    for ps, label in zip(sets, labels):
-        totals[label] += 1
-        size_sums[label] += ps.set_size
-        grand += ps.set_size
-    per_class = tuple(
-        (s / t) if t > 0 else None for s, t in zip(size_sums, totals)
-    )
-    return per_class, grand / len(sets)
+    labels = _aligned_labels(sets, labels)
+    size_sums = np.bincount(labels, weights=sets.sizes, minlength=n_classes)
+    totals = np.bincount(labels, minlength=n_classes)
+    return _per_class(size_sums, totals), int(sets.sizes.sum()) / len(labels)
 
 
-@dataclass(frozen=True)
-class SetSizeHistogram:
-    """Exact counts per prediction-set size, plus the uncertain total."""
-
-    by_size: dict[int, int]
-    total_uncertain: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "by_size", dict(sorted(self.by_size.items())))
+def uncertain_histogram(sets: PredictionSets) -> tuple[dict[int, int], int]:
+    """Counts per set size, ascending, and the count of sizes other than 1."""
+    counts = np.bincount(sets.sizes).tolist()
+    by_size = {size: c for size, c in enumerate(counts) if c}
+    return by_size, len(sets) - by_size.get(1, 0)
 
 
-def uncertain_histogram(sets: Sequence[PredictionSet]) -> SetSizeHistogram:
-    """Histogram of set sizes; uncertain means any size diverging from 1."""
-    counts = Counter(ps.set_size for ps in sets)
-    uncertain = sum(c for size, c in counts.items() if size != 1)
-    return SetSizeHistogram(by_size=dict(counts), total_uncertain=uncertain)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """K x K counts; rows are true classes, columns argmax-predicted classes."""
+    """K x K counts; rows are true classes, columns argmax-predicted classes.
 
-    counts: tuple[tuple[int, ...], ...]
+    ``counts`` is a read-only int64 array.
+    """
+
+    counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "counts", tuple(tuple(int(c) for c in row) for row in self.counts)
-        )
+        counts = np.array(self.counts, dtype=np.int64)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def from_predictions(
-        cls, true_labels: Sequence[int], predicted: Sequence[int], n_classes: int
-    ) -> "ConfusionMatrix":
-        if len(true_labels) != len(predicted):
-            raise LengthMismatchError(
-                f"{len(true_labels)} labels vs {len(predicted)} predictions"
-            )
-        flat = np.bincount(
-            np.asarray(true_labels, dtype=np.int64) * n_classes
-            + np.asarray(predicted, dtype=np.int64),
-            minlength=n_classes * n_classes,
-        ).reshape(n_classes, n_classes)
-        return cls(tuple(tuple(int(c) for c in row) for row in flat))
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
-
-    def trace(self) -> int:
-        return sum(self.counts[i][i] for i in range(self.k))
-
-    def total(self) -> int:
-        return sum(self.row_sums())
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConfusionMatrix):
+            return NotImplemented
+        return np.array_equal(self.counts, other.counts)
 
 
 def confusion_and_recall(
@@ -164,14 +123,12 @@ def confusion_and_recall(
     if len(data) == 0:
         raise EmptyDatasetError("cannot evaluate an empty dataset")
     require_valid(data)
+    k = data.universe.k
     predicted = np.argmax(data.probability_matrix(), axis=1)
-    matrix = ConfusionMatrix.from_predictions(data.labels, predicted, data.universe.k)
-    recalls = tuple(
-        (matrix.counts[i][i] / rs) if rs > 0 else None
-        for i, rs in enumerate(matrix.row_sums())
-    )
-    accuracy = matrix.trace() / matrix.total()
-    return matrix, recalls, accuracy
+    counts = np.bincount(data.labels * k + predicted, minlength=k * k).reshape(k, k)
+    diagonal = counts.diagonal()
+    recalls = _per_class(diagonal, counts.sum(axis=1))
+    return ConfusionMatrix(counts), recalls, int(diagonal.sum()) / len(data)
 
 
 @dataclass(frozen=True)
@@ -212,7 +169,7 @@ class EvaluationReport:
             "per_class_avg_set_size": list(self.per_class_avg_set_size),
             "uncertain_counts": {str(size): c for size, c in sorted(self.uncertain_counts.items())},
             "uncertain_total": self.uncertain_total,
-            "confusion_matrix": [list(row) for row in self.confusion.counts],
+            "confusion_matrix": self.confusion.counts.tolist(),
         }
 
     @classmethod
@@ -232,29 +189,33 @@ class EvaluationReport:
             per_class_avg_set_size=per_class(obj["per_class_avg_set_size"]),
             uncertain_counts={int(size): int(c) for size, c in obj["uncertain_counts"].items()},
             uncertain_total=int(obj["uncertain_total"]),
-            confusion=ConfusionMatrix(tuple(tuple(row) for row in obj["confusion_matrix"])),
+            confusion=ConfusionMatrix(obj["confusion_matrix"]),
         )
 
 
-def evaluate(test: Dataset, sets: Sequence[PredictionSet]) -> EvaluationReport:
+def evaluate(test: Dataset, sets: PredictionSets) -> EvaluationReport:
     """Full evaluation of prediction sets against a labeled test dataset.
 
     Sets are aligned with the dataset by position; when a set carries a
     sample_id it must match the example at its position.
     """
     require_valid(test)
-    labels = test.labels.tolist()
-    _check_aligned(sets, labels)
-    for ps, sample_id in zip(sets, test.ids):
-        if ps.sample_id and ps.sample_id != sample_id:
-            raise DataError(
-                f"prediction for {ps.sample_id!r} does not align with sample {sample_id!r}"
-            )
+    labels = _aligned_labels(sets, test.labels)
     k = test.universe.k
+    if sets.mask.shape[1] != k:
+        raise DimensionMismatchError(
+            f"prediction sets over {sets.mask.shape[1]} classes, the dataset has {k}"
+        )
+    if sets.ids != test.ids:
+        for given, expected in zip(sets.ids, test.ids):
+            if given and given != expected:
+                raise DataError(
+                    f"prediction for {given!r} does not align with sample {expected!r}"
+                )
     per_strict, overall_strict = strict_coverage(sets, labels, k)
     marginal = marginal_coverage(sets, labels)
     per_size, overall_size = avg_set_size(sets, labels, k)
-    histogram = uncertain_histogram(sets)
+    by_size, uncertain = uncertain_histogram(sets)
     matrix, recalls, accuracy = confusion_and_recall(test)
     return EvaluationReport(
         class_names=test.universe.names,
@@ -266,7 +227,7 @@ def evaluate(test: Dataset, sets: Sequence[PredictionSet]) -> EvaluationReport:
         marginal_coverage=marginal,
         overall_avg_set_size=overall_size,
         per_class_avg_set_size=per_size,
-        uncertain_counts=histogram.by_size,
-        uncertain_total=histogram.total_uncertain,
+        uncertain_counts=by_size,
+        uncertain_total=uncertain,
         confusion=matrix,
     )

@@ -1,63 +1,81 @@
-"""Prediction sets under a calibrated threshold.
+"""Prediction sets under a calibrated threshold, as one membership mask.
 
-A class k joins the prediction set when its nonconformity score 1 - p_k is
-less than or equal to the threshold (equivalently p_k >= 1 - threshold).
-The comparison is inclusive; an all-inclusive threshold (math.inf) admits
-every class, and an empty set is a legitimate "cannot decide" outcome that
-is never replaced by the argmax singleton.
+A class k joins a sample's prediction set when its nonconformity score
+1 - p_k is less than or equal to the threshold (equivalently
+p_k >= 1 - threshold).  The comparison is inclusive; an all-inclusive
+threshold (math.inf) admits every class, and an empty set is a legitimate
+"cannot decide" outcome that is never replaced by the argmax singleton.
+
+The sets of n samples are one read-only bool matrix of shape [n, K]: row i,
+column k is True when class k is in sample i's set.  Metrics and the
+prediction JSONL work on that matrix; a :class:`PredictionSet` is built only
+when a caller indexes or iterates :class:`PredictionSets`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import CalibrationResult, nonconformity
-from .core_types import Dataset, require_valid
+from .core_types import Dataset, LengthMismatchError, require_valid
 
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """The set of class indices surviving the threshold test for one sample."""
+    """The class indices in one sample's prediction set."""
 
     sample_id: str
     members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(m) for m in self.members))
 
     @property
     def set_size(self) -> int:
         return len(self.members)
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
 
-    def to_json_obj(self, true_label: int | None = None) -> dict:
-        obj = {
-            "sample_id": self.sample_id,
-            "members": self.sorted_members(),
-            "set_size": self.set_size,
-        }
-        if true_label is not None:
-            obj["true_label"] = int(true_label)
-        return obj
+@dataclass(frozen=True, eq=False)
+class PredictionSets:
+    """Prediction sets of n samples: ids and a read-only bool ``mask`` [n, K].
+
+    ``sizes`` is each set's size, ``mask.sum(1)``.  An empty id matches any
+    sample when the sets are evaluated.
+    """
+
+    ids: tuple[str, ...]
+    mask: np.ndarray
+    sizes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        mask = np.array(self.mask, dtype=bool)
+        if mask.ndim != 2 or len(mask) != len(ids):
+            raise LengthMismatchError(f"{len(ids)} sample ids, mask of shape {mask.shape}")
+        sizes = mask.sum(axis=1)
+        mask.flags.writeable = False
+        sizes.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "sizes", sizes)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> PredictionSet:
+        return PredictionSet(self.ids[i], frozenset(np.flatnonzero(self.mask[i]).tolist()))
+
+    def __iter__(self):
+        return (PredictionSet(i, frozenset(m)) for i, m in zip(self.ids, self.member_lists()))
+
+    def member_lists(self) -> list[list[int]]:
+        """Each set's members in ascending order."""
+        columns = np.nonzero(self.mask)[1].tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return [columns[end - size:end] for size, end in zip(self.sizes.tolist(), ends)]
 
 
-def _threshold_of(result: CalibrationResult | float) -> float:
-    if isinstance(result, CalibrationResult):
-        return result.threshold
-    return float(result)
-
-
-def predict_batch(
-    test: Dataset, result: CalibrationResult | float
-) -> list[PredictionSet]:
-    """One prediction set per test example, in input order."""
+def predict_batch(test: Dataset, result: CalibrationResult | float) -> PredictionSets:
+    """The prediction sets of the test examples, in input order."""
     require_valid(test)
-    admitted = nonconformity(test.probability_matrix()) <= _threshold_of(result)
-    return [
-        PredictionSet(sample_id=sample_id, members=frozenset(np.flatnonzero(row).tolist()))
-        for sample_id, row in zip(test.ids, admitted)
-    ]
+    threshold = result.threshold if isinstance(result, CalibrationResult) else float(result)
+    return PredictionSets(test.ids, nonconformity(test.probability_matrix()) <= threshold)

@@ -29,27 +29,12 @@ _M2 = _U64(0x94D049BB133111EB)
 _S30 = _U64(30)
 _S27 = _U64(27)
 _S31 = _U64(31)
-_S11 = _U64(11)
-_INV53 = 2.0**-53
-
-
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
-def nth_output(seed: int, index: int) -> int:
-    """The ``index``-th (0-based) raw output of the stream seeded with ``seed``."""
-    return mix64((seed + (index + 1) * GOLDEN) & MASK64)
 
 
 def output_block(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Vectorized ``nth_output(seed, start), ..., nth_output(seed, start+count-1)``.
+    """Outputs ``start, ..., start + count - 1`` of the stream seeded with ``seed``.
 
-    Bit-identical to the scalar path; uint64 arithmetic wraps mod 2**64.
+    uint64 arithmetic wraps mod 2**64, as the definition above requires.
     """
     if count <= 0:
         return np.empty(0, dtype=np.uint64)
@@ -60,26 +45,6 @@ def output_block(seed: int, count: int, start: int = 0) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def uniform_block(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """``count`` uniform doubles in [0, 1) from the stream seeded with ``seed``."""
-    return (output_block(seed, count, start) >> _S11).astype(np.float64) * _INV53
-
-
-class SplitMix64:
-    """Scalar stateful view of the same stream, for sequential consumers."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * _INV53
-
-    def next_below(self, m: int) -> int:
-        """Integer in [0, m); m must be positive."""
-        if m <= 0:
-            raise ValueError("bound must be positive")
-        return ((self.next_u64() >> 11) * m) >> 53
+def nth_output(seed: int, index: int) -> int:
+    """The ``index``-th (0-based) raw output of the stream seeded with ``seed``."""
+    return int(output_block(seed, 1, start=index)[0])

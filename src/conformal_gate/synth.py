@@ -149,9 +149,7 @@ def coverage_trial(
         calib = generate(calib_spec, n_calib)
         test = generate(test_spec, n_test)
         result = calibrate(calib, alpha)
-        sets = predict_batch(test, result)
-        labels = test.labels.tolist()
-        coverages.append(marginal_coverage(sets, labels))
+        coverages.append(marginal_coverage(predict_batch(test, result), test.labels))
     values = np.asarray(coverages, dtype=np.float64)
     return CoverageTrialResult(
         per_seed=tuple(coverages),

@@ -1,11 +1,11 @@
-"""Shared builders for small hand-constructed datasets."""
+"""Shared builders for small hand-constructed datasets and prediction sets."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conformal_gate import ClassUniverse, Dataset
+from conformal_gate import ClassUniverse, Dataset, PredictionSets
 
 
 def one_hot(k: int, index: int) -> tuple[float, ...]:
@@ -22,6 +22,18 @@ def make_dataset(k: int, rows) -> Dataset:
         [label for _, label, _ in rows],
         probs if rows else np.empty((0, k)),
     )
+
+
+def make_sets(k: int, members, ids=None) -> PredictionSets:
+    """Sets over k classes from one collection of class indices per sample.
+
+    Ids default to "", which evaluate aligns with any sample.
+    """
+    members = [sorted(m) for m in members]
+    mask = np.zeros((len(members), k), dtype=bool)
+    for row, columns in enumerate(members):
+        mask[row, columns] = True
+    return PredictionSets(("",) * len(members) if ids is None else ids, mask)
 
 
 @pytest.fixture

@@ -333,5 +333,5 @@ class TestPipelineEqualsLibrary:
 
         assert json.loads(artifact.read_text())["threshold"] == result.threshold
         file_sets = [json.loads(row) for row in pred.read_text().splitlines()]
-        assert [r["members"] for r in file_sets] == [s.sorted_members() for s in sets]
+        assert [r["members"] for r in file_sets] == [sorted(s.members) for s in sets]
         assert read_report(rep_json) == report

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -24,10 +25,16 @@ from conformal_gate import (
     write_report,
     write_universe,
 )
-from conformal_gate.io import largest_remainder_sizes, report_csv_text
+from conformal_gate.io import (
+    largest_remainder_sizes,
+    load_predictions,
+    report_csv_text,
+    write_atomic,
+    write_predictions,
+)
 from conformal_gate.synth import SyntheticSpec, generate
 
-from conftest import make_dataset, one_hot
+from conftest import make_dataset, make_sets, one_hot
 
 
 class TestLoadCsv:
@@ -149,6 +156,51 @@ class TestLoadJsonl:
         )
         with pytest.raises(UnknownLabelError, match="line 2"):
             load_probabilities(path)
+
+    @pytest.mark.parametrize("record, problem", [
+        ('{"sample_id": "b", "true_label": 0, "probs": "10"}', "probs"),
+        ('{"sample_id": "b", "true_label": 0, "probs": [true, false]}', "probs"),
+        ('{"sample_id": null, "true_label": 0, "probs": [0.0, 1.0]}', "sample_id"),
+        ('{"sample_id": "b", "true_label": 0, "probs": [1' + "0" * 400 + ', 0]}', "probs"),
+    ], ids=["string-probs", "boolean-probs", "null-id", "int-beyond-float"])
+    def test_fields_of_the_wrong_json_type_rejected(self, tmp_path, record, problem):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"sample_id": "a", "true_label": 0, "probs": [1.0, 0.0]}\n'
+                        + record + "\n")
+        with pytest.raises(ParseError, match=f"line 2: {problem}"):
+            load_probabilities(path)
+
+
+class TestPredictionJsonl:
+    def test_round_trip_keeps_ids_and_mask(self, tmp_path):
+        sets = make_sets(4, [{3, 1}, set(), range(4)], ids=("a", "b", "c"))
+        path = tmp_path / "sets.jsonl"
+        write_predictions(sets, path, labels=np.array([1, 0, 2]))
+        assert json.loads(path.read_text().splitlines()[0]) == {
+            "sample_id": "a", "members": [1, 3], "set_size": 2, "true_label": 1}
+        loaded = load_predictions(path, 4)
+        assert loaded.ids == sets.ids
+        assert np.array_equal(loaded.mask, sets.mask)
+
+    def test_repeated_members_count_once(self, tmp_path):
+        path = tmp_path / "sets.jsonl"
+        path.write_text('{"sample_id": "a", "members": [2, 2], "set_size": 1}\n\n')
+        loaded = load_predictions(path, 3)
+        assert loaded.sizes.tolist() == [1]
+        path.write_text('{"sample_id": "a", "members": [2, 2], "set_size": 2}\n')
+        with pytest.raises(ParseError, match="line 1: set_size 2 differs from the 1 members"):
+            load_predictions(path, 3)
+
+
+class TestWriteAtomic:
+    def test_file_gets_the_umask_mode_and_no_temp_file_is_left(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            write_atomic(tmp_path / "out.txt", "x\n")
+        finally:
+            os.umask(previous)
+        assert os.stat(tmp_path / "out.txt").st_mode == 0o100644
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestRoundTrips:

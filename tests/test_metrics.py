@@ -8,11 +8,12 @@ import pytest
 from conformal_gate import (
     ConfusionMatrix,
     DataError,
+    DimensionMismatchError,
     EmptyDatasetError,
     EvaluationReport,
     InvalidDatasetError,
     LengthMismatchError,
-    PredictionSet,
+    PredictionSets,
     avg_set_size,
     confusion_and_recall,
     evaluate,
@@ -23,28 +24,24 @@ from conformal_gate import (
 )
 from conformal_gate.synth import SyntheticSpec, generate
 
-from conftest import make_dataset, one_hot
-
-
-def ps(members, sample_id="") -> PredictionSet:
-    return PredictionSet(sample_id, frozenset(members))
+from conftest import make_dataset, make_sets, one_hot
 
 
 # the hand-enumerated four-sample scenario: a correct singleton, a wrong
 # singleton, a pair containing the truth, and an empty set
-FOUR_SETS = [ps({1}), ps({0}), ps({1, 2}), ps(set())]
+FOUR_SETS = make_sets(3, [{1}, {0}, {1, 2}, set()])
 FOUR_LABELS = [1, 1, 1, 1]
 
 
 class TestStrictCoverage:
     def test_all_correct_singletons(self):
-        sets = [ps({0}) for _ in range(10)]
+        sets = make_sets(2, [{0}] * 10)
         per_class, overall = strict_coverage(sets, [0] * 10, 2)
         assert overall == 1.0
         assert per_class == (1.0, None)
 
     def test_correct_pair_counts_as_uncertain_not_covered(self):
-        sets = [ps({0}) for _ in range(9)] + [ps({0, 1})]
+        sets = make_sets(2, [{0}] * 9 + [{0, 1}])
         _, overall = strict_coverage(sets, [0] * 10, 2)
         assert overall == pytest.approx(0.9)
 
@@ -54,20 +51,20 @@ class TestStrictCoverage:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            strict_coverage([ps({0})], [0, 1], 2)
+            strict_coverage(make_sets(2, [{0}]), [0, 1], 2)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            strict_coverage([], [], 2)
+            strict_coverage(make_sets(2, []), [], 2)
 
 
 class TestMarginalCoverage:
     def test_all_inclusive_sets_cover_everything(self):
-        sets = [ps(range(3)) for _ in range(5)]
+        sets = make_sets(3, [range(3)] * 5)
         assert marginal_coverage(sets, [0, 1, 2, 0, 1]) == 1.0
 
     def test_all_empty_sets_cover_nothing(self):
-        sets = [ps(set()) for _ in range(5)]
+        sets = make_sets(3, [set()] * 5)
         assert marginal_coverage(sets, [0, 1, 2, 0, 1]) == 0.0
 
     def test_hand_enumerated_four_sample_case(self):
@@ -79,71 +76,71 @@ class TestMarginalCoverage:
             n = int(rng.integers(1, 60))
             k = int(rng.integers(2, 8))
             labels = [int(x) for x in rng.integers(0, k, size=n)]
-            sets = [
-                ps({int(c) for c in rng.choice(k, size=rng.integers(0, k + 1), replace=False)})
+            sets = make_sets(k, [
+                rng.choice(k, size=rng.integers(0, k + 1), replace=False).tolist()
                 for _ in range(n)
-            ]
+            ])
             _, strict = strict_coverage(sets, labels, k)
             assert strict <= marginal_coverage(sets, labels)
 
 
 class TestAvgSetSize:
     def test_mixed_sizes_average_to_one(self):
-        sets = [ps({0}), ps({1}), ps({0, 1}), ps(set())]
+        sets = make_sets(2, [{0}, {1}, {0, 1}, set()])
         _, overall = avg_set_size(sets, [0, 0, 0, 0], 2)
         assert overall == 1.0
 
     def test_all_singletons_per_class(self):
-        sets = [ps({0}), ps({1}), ps({0})]
+        sets = make_sets(2, [{0}, {1}, {0}])
         per_class, overall = avg_set_size(sets, [0, 1, 0], 2)
         assert per_class == (1.0, 1.0)
         assert overall == 1.0
 
     def test_all_pairs(self):
-        sets = [ps({0, 1}) for _ in range(3)]
+        sets = make_sets(2, [{0, 1}] * 3)
         _, overall = avg_set_size(sets, [0, 0, 0], 2)
         assert overall == 2.0
 
     def test_absent_class_reports_none(self):
-        per_class, _ = avg_set_size([ps({0})], [0], 3)
+        per_class, _ = avg_set_size(make_sets(3, [{0}]), [0], 3)
         assert per_class == (1.0, None, None)
 
 
 class TestUncertainHistogram:
     def test_mixed_histogram(self):
-        sets = [ps({0, 1}) for _ in range(28)] + [ps({0}) for _ in range(72)]
-        hist = uncertain_histogram(sets)
-        assert hist.by_size == {1: 72, 2: 28}
-        assert hist.total_uncertain == 28
+        sets = make_sets(2, [{0, 1}] * 28 + [{0}] * 72)
+        by_size, total_uncertain = uncertain_histogram(sets)
+        assert by_size == {1: 72, 2: 28}
+        assert total_uncertain == 28
 
     def test_all_singletons_have_no_uncertainty(self):
-        hist = uncertain_histogram([ps({0}) for _ in range(10)])
-        assert hist.total_uncertain == 0
+        _, total_uncertain = uncertain_histogram(make_sets(2, [{0}] * 10))
+        assert total_uncertain == 0
 
     def test_empty_sets_counted(self):
-        sets = [ps(set()) for _ in range(5)] + [ps({0}) for _ in range(77)]
-        hist = uncertain_histogram(sets)
-        assert hist.by_size[0] == 5
-        assert hist.total_uncertain == 5
+        sets = make_sets(2, [set()] * 5 + [{0}] * 77)
+        by_size, total_uncertain = uncertain_histogram(sets)
+        assert by_size[0] == 5
+        assert total_uncertain == 5
 
     def test_empty_input_allowed(self):
-        hist = uncertain_histogram([])
-        assert hist.by_size == {}
-        assert hist.total_uncertain == 0
+        by_size, total_uncertain = uncertain_histogram(make_sets(2, []))
+        assert by_size == {}
+        assert total_uncertain == 0
 
 
 class TestConfusionAndRecall:
     def test_all_correct_one_hot(self):
         d = make_dataset(3, [(f"s{i}", i % 3, one_hot(3, i % 3)) for i in range(9)])
         matrix, recalls, accuracy = confusion_and_recall(d)
-        assert matrix.counts == ((3, 0, 0), (0, 3, 0), (0, 0, 3))
+        assert matrix.counts.tolist() == [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
         assert recalls == (1.0, 1.0, 1.0)
         assert accuracy == 1.0
 
     def test_degenerate_predictor(self):
         d = make_dataset(2, [("a", 0, (0.9, 0.1)), ("b", 1, (0.8, 0.2))])
         matrix, recalls, accuracy = confusion_and_recall(d)
-        assert matrix.counts == ((1, 0), (1, 0))
+        assert matrix.counts.tolist() == [[1, 0], [1, 0]]
         assert recalls == (1.0, 0.0)
         assert accuracy == 0.5
 
@@ -170,10 +167,16 @@ class TestConfusionAndRecall:
             confusion_and_recall(make_dataset(2, []))
 
     def test_row_sums_and_trace(self):
+        counts = ConfusionMatrix(((2, 1), (0, 3))).counts
+        assert counts.sum(axis=1).tolist() == [3, 3]
+        assert int(np.trace(counts)) == 5
+        assert int(counts.sum()) == 6
+
+    def test_counts_are_a_read_only_array_compared_by_value(self):
         matrix = ConfusionMatrix(((2, 1), (0, 3)))
-        assert matrix.row_sums() == (3, 3)
-        assert matrix.trace() == 5
-        assert matrix.total() == 6
+        assert matrix.counts.dtype == np.int64 and not matrix.counts.flags.writeable
+        assert matrix == ConfusionMatrix(np.array([[2, 1], [0, 3]]))
+        assert matrix != ConfusionMatrix(((2, 1), (1, 3)))
 
 
 class TestEvaluate:
@@ -191,14 +194,15 @@ class TestEvaluate:
             size * count for size, count in report.uncertain_counts.items()
         )
         assert report.overall_avg_set_size == total_size / report.n_test
-        assert report.confusion.row_sums() == tuple(
+        counts = report.confusion.counts
+        assert counts.sum(axis=1).tolist() == [
             int((data.labels == c).sum()) for c in range(4)
-        )
-        assert report.accuracy == report.confusion.trace() / report.confusion.total()
+        ]
+        assert report.accuracy == int(np.trace(counts)) / int(counts.sum())
 
     def test_per_class_aggregates_to_overall(self):
         data, _, report = self._report(seed=321)
-        counts = report.confusion.row_sums()
+        counts = report.confusion.counts.sum(axis=1).tolist()
         n = report.n_test
 
         def aggregate(per_class):
@@ -220,14 +224,19 @@ class TestEvaluate:
 
     def test_misaligned_sample_ids_rejected(self):
         data, sets, _ = self._report()
-        rotated = sets[1:] + sets[:1]
+        rotated = PredictionSets(sets.ids[1:] + sets.ids[:1], np.roll(sets.mask, -1, axis=0))
         with pytest.raises(DataError):
             evaluate(data, rotated)
+
+    def test_sets_over_another_class_count_rejected(self):
+        data, sets, _ = self._report()
+        with pytest.raises(DimensionMismatchError, match="over 3 classes"):
+            evaluate(data, PredictionSets(sets.ids, sets.mask[:, :3]))
 
     def test_invalid_dataset_rejected_as_data_error(self):
         d = make_dataset(2, [("a", -1, (1.0, 0.0)), ("b", 1, (0.0, 1.0))])
         with pytest.raises(InvalidDatasetError, match="true_label -1"):
-            evaluate(d, [ps({0}), ps({1})])
+            evaluate(d, make_sets(2, [{0}, {1}]))
         with pytest.raises(InvalidDatasetError):
             confusion_and_recall(d)
 

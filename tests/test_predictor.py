@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from conformal_gate import (
     ALL_INCLUSIVE,
+    DataError,
     DimensionMismatchError,
     PredictionSet,
+    PredictionSets,
     calibrate_scores,
     confusion_and_recall,
     predict_batch,
 )
+from conformal_gate.io import write_predictions
 
-from conftest import make_dataset, one_hot
+from conftest import make_dataset, make_sets, one_hot
 
 
 def prediction_set(probs, threshold, sample_id: str = "") -> PredictionSet:
@@ -26,7 +31,7 @@ def prediction_set(probs, threshold, sample_id: str = "") -> PredictionSet:
 def argmax_class(probs) -> int:
     """The point prediction that evaluation counts, for a one-row dataset."""
     matrix, _, _ = confusion_and_recall(make_dataset(len(probs), [("x", 0, probs)]))
-    return matrix.counts[0].index(1)
+    return matrix.counts[0].tolist().index(1)
 
 
 def brute_force_members(probs, threshold: float) -> set[int]:
@@ -72,7 +77,9 @@ class TestPredictionSet:
 
 class TestPredictBatch:
     def test_empty_dataset_gives_empty_list(self):
-        assert predict_batch(make_dataset(3, []), 0.5) == []
+        sets = predict_batch(make_dataset(3, []), 0.5)
+        assert list(sets) == [] and len(sets) == 0
+        assert sets.mask.shape == (0, 3)
 
     def test_one_hot_examples_under_zero_threshold(self):
         d = make_dataset(3, [("a", 0, one_hot(3, 0)), ("b", 2, one_hot(3, 2))])
@@ -158,12 +165,34 @@ class TestArgmax:
         assert argmax_class(one_hot(9, 8)) == 8
 
 
+class TestPredictionSets:
+    def test_mask_sizes_and_row_views(self):
+        sets = make_sets(3, [{2, 0}, set(), {1}], ids=("a", "b", "c"))
+        assert sets.mask.tolist() == [[True, False, True], [False] * 3, [False, True, False]]
+        assert sets.sizes.tolist() == [2, 0, 1]
+        assert not sets.mask.flags.writeable and not sets.sizes.flags.writeable
+        assert len(sets) == 3
+        assert sets[0] == PredictionSet("a", frozenset({0, 2}))
+        assert [ps.set_size for ps in sets] == [2, 0, 1]
+
+    def test_ids_must_match_the_mask_rows(self):
+        with pytest.raises(DataError):
+            PredictionSets(("a",), np.zeros((2, 3), dtype=bool))
+
+
 class TestSerialization:
-    def test_json_object_with_true_label(self):
+    @staticmethod
+    def _record(tmp_path, ps: PredictionSet, labels=None) -> dict:
+        path = tmp_path / "sets.jsonl"
+        write_predictions(make_sets(3, [ps.members], ids=(ps.sample_id,)), path, labels)
+        (line,) = path.read_text().splitlines()
+        return json.loads(line)
+
+    def test_json_object_with_true_label(self, tmp_path):
         ps = prediction_set((0.9, 0.05, 0.05), 0.2, sample_id="x")
-        obj = ps.to_json_obj(true_label=0)
+        obj = self._record(tmp_path, ps, labels=[0])
         assert obj == {"sample_id": "x", "members": [0], "set_size": 1, "true_label": 0}
 
-    def test_json_object_without_true_label(self):
+    def test_json_object_without_true_label(self, tmp_path):
         ps = prediction_set((0.5, 0.5), ALL_INCLUSIVE, sample_id="y")
-        assert ps.to_json_obj() == {"sample_id": "y", "members": [0, 1], "set_size": 2}
+        assert self._record(tmp_path, ps) == {"sample_id": "y", "members": [0, 1], "set_size": 2}
