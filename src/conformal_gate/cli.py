@@ -124,6 +124,8 @@ def _read_artifact(path: str, universe) -> float:
             artifact = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed calibration artifact {path}: {exc}") from exc
+    if not isinstance(artifact, dict):
+        raise DataError(f"malformed calibration artifact {path}: not a JSON object")
     if "threshold" not in artifact:
         raise DataError(f"calibration artifact {path} has no threshold")
     if "k" in artifact and artifact["k"] != universe.k:

@@ -88,7 +88,7 @@ class ClassUniverse:
         object.__setattr__(self, "labels", labels)
         if len(labels) < 2:
             raise DataError("a class universe needs at least 2 classes")
-        names = set()
+        names: dict[str, int] = {}
         for i, label in enumerate(labels):
             if label.index != i:
                 raise DataError(
@@ -96,7 +96,8 @@ class ClassUniverse:
                 )
             if label.name in names:
                 raise DataError(f"duplicate class name {label.name!r}")
-            names.add(label.name)
+            names[label.name] = i
+        object.__setattr__(self, "_index_of_name", names)
 
     @property
     def k(self) -> int:
@@ -115,10 +116,7 @@ class ClassUniverse:
         return self.labels[index].name
 
     def index_of(self, name: str) -> int | None:
-        for label in self.labels:
-            if label.name == name:
-                return label.index
-        return None
+        return self._index_of_name.get(name)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -149,17 +147,32 @@ def _fsum_rows(rows: np.ndarray) -> np.ndarray:
     return np.array(sums, dtype=np.float64)
 
 
+def _near_one(probs: np.ndarray, tol: float) -> np.ndarray:
+    """Rows whose ``math.fsum`` is surely within ``tol`` of 1, judged by ``np.sum``.
+
+    Only rows with every entry in [0, 1] are judged.  For them, with mass
+    below 2, ``np.sum`` in any order and ``fsum`` differ by less than
+    K * 2**-52: each is within (K - 1) * 2**-53 * mass and 2**-53 of the
+    exact sum.  A row is cleared when ``|np.sum - 1|`` plus that margin stays
+    below ``tol / 2``; every other row is left to ``fsum``.
+    """
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    sums = np.sum(probs, axis=1, where=in_range[:, None])
+    return in_range & (np.abs(sums - 1.0) < tol / 2 - probs.shape[1] * 2.0**-52)
+
+
 def _apply_mass_policy(probs: np.ndarray, lines: Sequence[int] | None) -> np.ndarray:
     """Apply the probability-mass policy to the rows of ``probs`` in place.
 
     Returns, per row, the mass of a finite row still off unit mass by more
     than SILENT_TOL after the policy, and NaN for every other row.  ``lines``
     names rows by source line in the warning; without it rows are named by
-    0-based index.
+    0-based index.  ``math.fsum`` runs only on rows :func:`_near_one` cannot
+    clear.
     """
-    finite = np.isfinite(probs).all(axis=1)
+    exact = np.isfinite(probs).all(axis=1) & ~_near_one(probs, NOOP_TOL)
     masses = np.full(len(probs), np.nan)
-    masses[finite] = _fsum_rows(probs[finite])
+    masses[exact] = _fsum_rows(probs[exact])
     deviation = np.abs(masses - 1.0)
     renormalize = (deviation > NOOP_TOL) & (deviation <= WARN_TOL)
     warned = np.flatnonzero(renormalize & (deviation > SILENT_TOL))
@@ -172,7 +185,9 @@ def _apply_mass_policy(probs: np.ndarray, lines: Sequence[int] | None) -> np.nda
             warned.size, SILENT_TOL, where, ", ".join(map(str, first)),
         )
     probs[renormalize] /= masses[renormalize, None]
-    masses[renormalize] = _fsum_rows(probs[renormalize])
+    masses[renormalize] = np.nan
+    recheck = renormalize & ~_near_one(probs, SILENT_TOL)
+    masses[recheck] = _fsum_rows(probs[recheck])
     return np.where(np.abs(masses - 1.0) > SILENT_TOL, masses, np.nan)
 
 
@@ -181,10 +196,11 @@ def _find_violations(
 ) -> tuple[Violation, ...]:
     """Every violation, by row and then in a fixed order of checks."""
     duplicate = np.zeros(len(ids), dtype=bool)
-    seen: set[str] = set()
-    for i, sample_id in enumerate(ids):
-        duplicate[i] = sample_id in seen
-        seen.add(sample_id)
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for i, sample_id in enumerate(ids):
+            duplicate[i] = sample_id in seen
+            seen.add(sample_id)
     bad_label = (labels < 0) | (labels >= k)
     finite = np.isfinite(probs).all(axis=1)
     outside = (probs < 0.0) | (probs > 1.0)

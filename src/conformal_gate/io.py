@@ -31,6 +31,8 @@ import os
 import re
 import secrets
 from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -98,15 +100,23 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 
 def load_universe(path: str | Path) -> ClassUniverse:
+    """Read classes.json; each entry needs an integer ``index`` and a string ``name``."""
     with open(path, "r", encoding="utf-8") as handle:
-        entries = json.load(handle)
+        try:
+            entries = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed classes file {path}: {exc}") from exc
     try:
-        ordered = sorted(entries, key=lambda e: e["index"])
-        return ClassUniverse(tuple(
-            ClassLabel(int(e["index"]), str(e["name"])) for e in ordered
-        ))
+        labels = [ClassLabel(e["index"], e["name"]) for e in entries]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed classes file {path}: {exc}") from exc
+    for label in labels:
+        if type(label.index) is not int or type(label.name) is not str:
+            raise ParseError(
+                f"malformed classes file {path}: index {label.index!r} and name"
+                f" {label.name!r} are not an integer and a string"
+            )
+    return ClassUniverse(tuple(sorted(labels, key=lambda label: label.index)))
 
 
 def write_universe(universe: ClassUniverse, path: str | Path) -> None:
@@ -135,7 +145,7 @@ def file_digest(path: str | Path) -> str:
 # dataset load/write
 
 
-def _resolve_label(raw: str | int, universe: ClassUniverse, line: int) -> int:
+def _resolve_label(raw: str | int, universe: ClassUniverse, line: int | None) -> int:
     if isinstance(raw, bool):
         raise UnknownLabelError(f"true_label {raw!r} is not a class index or name", line=line)
     if isinstance(raw, int):
@@ -164,7 +174,7 @@ def _check_width(width: int, universe: ClassUniverse, line: int) -> None:
 
 
 class _Rows:
-    """Rows parsed from a dataset file, in file order, with their line numbers."""
+    """Rows parsed from a JSONL dataset file, in file order, with their line numbers."""
 
     def __init__(self):
         self.ids: list[str] = []
@@ -179,26 +189,31 @@ class _Rows:
         self.lines.append(line)
 
     def dataset(self, universe: ClassUniverse, error: DataError | None) -> Dataset:
-        """The rows as a Dataset, or the first problem in file order.
-
-        ``error`` is the parse error that stopped reading, if any; the rows
-        before it are checked first.  Duplicate ids are reported last.
-        """
         probs = np.array(self.values, dtype=np.float64).reshape(len(self.ids), universe.k)
         dataset = Dataset(universe, self.ids, self.labels, probs, lines=self.lines)
-        for v in dataset.violations:
-            if v.reason != DUPLICATE_ID:
-                raise ParseError(v.reason, line=self.lines[v.row])
-        if error is not None:
-            raise error
-        if dataset.violations:
-            v = dataset.violations[0]
-            first = self.lines[self.ids.index(v.sample_id)]
-            raise ParseError(
-                f"duplicate sample_id {v.sample_id!r} (first seen on line {first})",
-                line=self.lines[v.row],
-            )
-        return dataset
+        return _checked(dataset, self.lines, error)
+
+
+def _checked(dataset: Dataset, lines: Sequence[int], error: DataError | None) -> Dataset:
+    """The dataset read from a file, or the first problem in file order.
+
+    ``lines`` is each row's 1-based line.  ``error`` is the parse error that
+    stopped reading, if any; the rows before it are checked first.
+    Duplicate ids are reported last.
+    """
+    for v in dataset.violations:
+        if v.reason != DUPLICATE_ID:
+            raise ParseError(v.reason, line=lines[v.row])
+    if error is not None:
+        raise error
+    if dataset.violations:
+        v = dataset.violations[0]
+        first = lines[dataset.ids.index(v.sample_id)]
+        raise ParseError(
+            f"duplicate sample_id {v.sample_id!r} (first seen on line {first})",
+            line=lines[v.row],
+        )
+    return dataset
 
 
 def _infer_format(path: str | Path) -> str:
@@ -239,26 +254,72 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
         )
     if universe is None:
         universe = ClassUniverse.generic(len(header) - 2)
-    rows = _Rows()
+    rows, numbers = lines[1:], range(2, len(lines) + 1)
+    if not all(map(str.strip, rows)):
+        numbers = [n for n, row in zip(numbers, rows) if row.strip()]
+        rows = [lines[n - 1] for n in numbers]
     try:
-        for offset, row in enumerate(lines[1:], start=2):
-            if not row.strip():
-                continue
-            fields = row.split(",")
+        columns, error = _csv_columns(rows, universe), None
+    except ValueError:
+        stop, error = _first_bad_row(rows, numbers, universe, len(header))
+        rows, numbers = rows[:stop], numbers[:stop]
+        columns = _csv_columns(rows, universe)
+    return _checked(Dataset(universe, *columns, lines=numbers), numbers, error)
+
+
+def _csv_columns(
+    rows: list[str], universe: ClassUniverse
+) -> tuple[list[str], list[int], np.ndarray]:
+    """Ids, label indices and the (n, K) matrix of non-blank CSV rows, in one pass.
+
+    Raises ValueError, with no line, when :func:`_first_bad_row` would
+    reject any row; the caller then asks it which row.
+    """
+    k = universe.k
+    if set(map(str.count, rows, repeat(","))) - {k + 1}:
+        raise ValueError("a row does not hold K + 2 fields")
+    ids: list[str] = []
+    raw_labels: list[str] = []
+
+    def cells():
+        for row in rows:
+            sample_id, label, *values = row.split(",")
+            ids.append(sample_id)
+            raw_labels.append(label)
+            yield values
+
+    probs = np.fromiter(map(float, chain.from_iterable(cells())), np.float64, len(rows) * k)
+    try:
+        labels = list(map(int, raw_labels))
+    except ValueError:  # class names
+        labels = [_resolve_label(raw, universe, None) for raw in raw_labels]
+    if labels and not (min(labels) >= 0 and max(labels) < k):
+        raise ValueError("a label is outside [0, K)")
+    return ids, labels, probs.reshape(len(rows), k)
+
+
+def _first_bad_row(
+    rows: list[str], lines: Sequence[int], universe: ClassUniverse, width: int
+) -> tuple[int, DataError]:
+    """The index of the first row :func:`_csv_columns` rejects, and its error.
+
+    ``width`` is the header's field count.  Each row is checked in a fixed
+    order: field count, probability count, label, probability values.
+    """
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        fields = row.split(",")
+        try:
             if len(fields) < 3:
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(fields)}", line=offset
-                )
-            _check_width(len(fields) - 2, universe, offset)
-            label = _resolve_label(fields[1], universe, offset)
+                raise ParseError(f"expected {width} fields, got {len(fields)}", line=line)
+            _check_width(len(fields) - 2, universe, line)
+            _resolve_label(fields[1], universe, line)
             try:
-                values = [float(v) for v in fields[2:]]
+                list(map(float, fields[2:]))
             except ValueError as exc:
-                raise ParseError(f"bad probability value: {exc}", line=offset) from exc
-            rows.append(fields[0], label, values, offset)
-    except DataError as exc:
-        return rows.dataset(universe, exc)
-    return rows.dataset(universe, None)
+                raise ParseError(f"bad probability value: {exc}", line=line) from exc
+        except DataError as exc:
+            return i, exc
+    raise AssertionError("the bulk CSV parse rejected rows the row check accepts")
 
 
 def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
@@ -352,15 +413,18 @@ def write_dataset(dataset: Dataset, path: str | Path, fmt: str | None = None) ->
 def write_predictions(
     sets: PredictionSets, path: str | Path, labels: np.ndarray | None = None
 ) -> None:
-    """Write one prediction JSONL line per set, with ``true_label`` when labels are given."""
-    labels = [None] * len(sets) if labels is None else np.asarray(labels).tolist()
-    lines = []
-    for sample_id, members, label in zip(sets.ids, sets.member_lists(), labels):
-        obj = {"sample_id": sample_id, "members": members, "set_size": len(members)}
-        if label is not None:
-            obj["true_label"] = label
-        lines.append(json.dumps(obj))
-    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    """Write one prediction JSONL line per set, with ``true_label`` when labels are given.
+
+    Each line is what ``json.dumps`` writes for the record: ids are escaped
+    by its ASCII string encoder, and a list of ints prints as JSON.
+    """
+    ends = (["}\n"] * len(sets) if labels is None
+            else [f', "true_label": {label}}}\n' for label in np.asarray(labels).tolist()])
+    write_atomic(path, "".join(
+        f'{{"sample_id": {sample_id}, "members": {members}, "set_size": {len(members)}{end}'
+        for sample_id, members, end in zip(
+            map(encode_basestring_ascii, sets.ids), sets.member_lists(), ends)
+    ))
 
 
 def load_predictions(path: str | Path, k: int) -> PredictionSets:
@@ -379,13 +443,17 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
             continue
         try:
             obj = json.loads(line)
-            sample_id, members = str(obj["sample_id"]), list(obj["members"])
+            sample_id, members = obj["sample_id"], list(obj["members"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad prediction record: {exc}", line=offset) from exc
+        if type(sample_id) is not str:
+            raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
         for m in members:
             if type(m) is not int or not 0 <= m < k:
                 raise ParseError(f"member {m!r} is not a class index in [0, {k})", line=offset)
         size = len(set(members))
+        if "set_size" in obj and type(obj["set_size"]) is not int:
+            raise ParseError(f"set_size {obj['set_size']!r} is not a JSON integer", line=offset)
         if "set_size" in obj and obj["set_size"] != size:
             raise ParseError(
                 f"set_size {obj['set_size']!r} differs from the {size} members", line=offset
@@ -528,7 +596,16 @@ def report_csv_text(report: EvaluationReport) -> str:
 
 
 def report_json_text(report: EvaluationReport) -> str:
-    return json.dumps(report.to_json_obj(), indent=2) + "\n"
+    """``json.dumps(report.to_json_obj(), indent=2)`` and a newline.
+
+    The confusion matrix, the last key, is written here row by row:
+    ``json.dumps`` encodes with pure Python whenever ``indent`` is set.
+    """
+    obj = report.to_json_obj()
+    rows = [",\n      ".join(map(str, row)) for row in obj.pop("confusion_matrix")]
+    matrix = ",".join(f"\n    [\n      {row}\n    ]" if row else "\n    []" for row in rows)
+    matrix = f"[{matrix}\n  ]" if rows else "[]"
+    return json.dumps(obj, indent=2)[:-2] + f',\n  "confusion_matrix": {matrix}\n}}\n'
 
 
 def write_report(report: EvaluationReport, path: str | Path, fmt: str | None = None) -> None:

@@ -1,10 +1,14 @@
-"""The per-row probability-mass policy and validation loop, kept as a test oracle.
+"""Row-at-a-time code kept as test oracles for the columnar paths.
 
-This is the row-at-a-time code that the columnar :class:`Dataset` replaced:
-one frozen object per probability vector, the mass policy applied in its
-constructor, and a Python loop over the rows that collects violations.
-Differential tests require the columnar construction to store bit-identical
-probabilities and to report the same violations in the same order.
+The probability-mass policy and validation loop that the columnar
+:class:`Dataset` replaced: one frozen object per probability vector, the
+mass policy applied in its constructor, and a Python loop over the rows that
+collects violations.  Differential tests require the columnar construction
+to store bit-identical probabilities and to report the same violations in
+the same order.
+
+:func:`load_csv_rows` is the CSV loader that the bulk parse replaced: one
+row at a time, stopping at the first row it cannot parse.
 """
 
 from __future__ import annotations
@@ -14,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from conformal_gate import Violation
+from conformal_gate import (
+    ClassUniverse,
+    Dataset,
+    DimensionMismatchError,
+    ParseError,
+    UnknownLabelError,
+    Violation,
+)
 
 NOOP_TOL = 1e-9
 SILENT_TOL = 1e-6
@@ -83,3 +94,69 @@ def validate_examples(examples: list[LabeledExample], k: int) -> list[Violation]
                 Violation(ex.sample_id, f"probability mass {mass:.9g} outside tolerance")
             )
     return violations
+
+
+def _resolve_label(raw: str, universe: ClassUniverse, line: int) -> int:
+    text = raw.strip()
+    try:
+        index = int(text)
+    except ValueError:
+        resolved = universe.index_of(text)
+        if resolved is None:
+            raise UnknownLabelError(f"unknown class label {text!r}", line=line)
+        return resolved
+    if not 0 <= index < universe.k:
+        raise UnknownLabelError(f"class index {index} outside [0, {universe.k})", line=line)
+    return index
+
+
+def load_csv_rows(path, universe: ClassUniverse | None) -> Dataset:
+    """The dataset CSV at ``path``, read row by row; errors name their line."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        raise ParseError("empty file: missing header", line=1)
+    header = lines[0].split(",")
+    if len(header) < 3 or header[0] != "sample_id" or header[1] != "true_label":
+        raise ParseError("header must be sample_id,true_label,p_0,...,p_{K-1}", line=1)
+    if universe is None:
+        universe = ClassUniverse.generic(len(header) - 2)
+    ids, labels, values, numbers = [], [], [], []
+    error = None
+    for offset, row in enumerate(lines[1:], start=2):
+        if not row.strip():
+            continue
+        fields = row.split(",")
+        try:
+            if len(fields) < 3:
+                raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line=offset)
+            if len(fields) - 2 != universe.k:
+                raise DimensionMismatchError(
+                    f"line {offset}: expected {universe.k} probabilities, got {len(fields) - 2}"
+                )
+            label = _resolve_label(fields[1], universe, offset)
+            try:
+                row_values = [float(v) for v in fields[2:]]
+            except ValueError as exc:
+                raise ParseError(f"bad probability value: {exc}", line=offset) from exc
+        except (ParseError, DimensionMismatchError) as exc:
+            error = exc
+            break
+        ids.append(fields[0])
+        labels.append(label)
+        values.extend(row_values)
+        numbers.append(offset)
+
+    probs = np.array(values, dtype=np.float64).reshape(len(ids), universe.k)
+    dataset = Dataset(universe, ids, labels, probs, lines=numbers)
+    for v in dataset.violations:
+        if v.reason != "duplicate sample_id":
+            raise ParseError(v.reason, line=numbers[v.row])
+    if error is not None:
+        raise error
+    if dataset.violations:
+        v = dataset.violations[0]
+        first = numbers[ids.index(v.sample_id)]
+        raise ParseError(f"duplicate sample_id {v.sample_id!r} (first seen on line {first})",
+                         line=numbers[v.row])
+    return dataset

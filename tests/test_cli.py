@@ -82,6 +82,21 @@ class TestCalibrateCommand:
         assert lines[0] == "rank,score"
         assert len(lines) == 102  # header + 100 points + threshold row
 
+    @pytest.mark.parametrize("classes, problem", [
+        ('[{"index": 0, "name": "a"}, {"index": 1, "name": "b"', "malformed classes file"),
+        ('[{"index": 0, "name": "a"}, {"index": 1.9, "name": "b"}]', "index 1.9 and name 'b'"),
+        ('[{"index": 0, "name": "a"}, {"index": true, "name": "b"}]', "index True and"),
+        ('[{"index": 0, "name": "a"}, {"index": 1, "name": null}]', "name None are not"),
+        ('[{"index": 0, "name": "a"}, {"index": 1}]', "malformed classes file"),
+    ], ids=["bad-json", "float-index", "bool-index", "null-name", "no-name"])
+    def test_bad_classes_file_exits_2(self, tmp_path, capsys, classes, problem):
+        path = tmp_path / "classes.json"
+        path.write_text(classes)
+        calib = one_hot_csv(tmp_path, k=2)
+        assert run("calibrate", "--input", str(calib), "--classes", str(path),
+                   "--out", str(tmp_path / "a.json")) == 2
+        assert problem in capsys.readouterr().err
+
 
 class TestPredictCommand:
     def _artifact(self, tmp_path, threshold):
@@ -167,6 +182,15 @@ class TestPredictCommand:
         assert "threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["5", "[0.5]", '"all_inclusive"', "null"])
+    def test_artifact_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(text)
+        test = one_hot_csv(tmp_path, n=4, name="test.csv")
+        assert run("predict", "--calibration", str(artifact), "--input", str(test),
+                   "--out", str(tmp_path / "pred.jsonl")) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", [0, 0.0, 1, 1.0, "all_inclusive"])
     def test_threshold_bounds_are_accepted(self, tmp_path, threshold):
         artifact = self._artifact(tmp_path, threshold)
@@ -205,6 +229,10 @@ class TestEvaluateCommand:
         '{"sample_id": "s1", "members": [true]}',
         '{"sample_id": "s1", "members": [1.0]}',
         '{"sample_id": "s1", "members": [1, 2], "set_size": 1}',
+        '{"sample_id": null, "members": [1]}',
+        '{"sample_id": 1, "members": [1]}',
+        '{"sample_id": "s1", "members": [1], "set_size": true}',
+        '{"sample_id": "s1", "members": [1], "set_size": 1.0}',
     ])
     def test_bad_prediction_record_exits_2_citing_line(self, tmp_path, capsys, record):
         data = one_hot_csv(tmp_path, n=3)

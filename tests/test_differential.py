@@ -6,6 +6,10 @@ random rows scaled into each band, NaN and infinite entries, entries outside
 [0, 1], out-of-range labels and duplicate ids.  Stored probabilities must be
 bit-identical, the violation lists equal in content and order, and the one
 renormalization warning must count the rows the oracle warns about.
+
+The construction clears rows by ``np.sum`` and runs ``math.fsum`` only on the
+rest, so rows are also drawn with masses near the screen's edges, at
+``tol / 2`` and ``tol`` less the K-dependent margin, for K up to 2,000.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ def test_every_band_boundary_matches_the_oracle():
         assert any(d < tol for d in deviations) and any(d > tol for d in deviations)
     rows += [[math.nan, 0.5, 0.5, 0.0], [math.inf, 0.0, 0.0, 0.0], [0.5, -math.inf, 0.5, 0.0],
              [1.2, -0.2, 0.0, 0.0], [1.0000005, 0.0, 0.0, 0.0], [-1e-7, 1.0, 0.0, 0.0],
-             [0.4, 0.4, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]]
+             [0.4, 0.4, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0],
+             [1e17, 1.0, -1e17, 1.0]]  # np.sum gives 1.0, fsum 2.0
     ids = [f"s{i}" for i in range(len(rows))]
     ids[5] = ids[2]  # a duplicate
     labels = [i % (k + 2) - 1 for i in range(len(rows))]  # -1 and k are out of range
@@ -143,3 +148,60 @@ def datasets(draw):
 @given(datasets())
 def test_construction_matches_the_row_oracle(data):
     check_against_oracle(*data)
+
+
+def screen_edge_masses(k: int) -> list[float]:
+    """Deviations from 1 a few grid steps around each edge of the np.sum screen."""
+    deviations = []
+    for tol in TOLERANCES:
+        for edge in (tol, tol / 2, tol / 2 - k * 2.0**-52):
+            for sign in (1.0, -1.0):
+                deviations.extend(sign * edge + j * 2.0**-52 for j in range(-4, 5))
+    return deviations
+
+
+@st.composite
+def wide_datasets(draw):
+    """Rows of up to 2,000 dense entries scaled to a mass near a screen edge."""
+    k = draw(st.sampled_from([2, 3, 10, 100, 500, 1999, 2000]))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n):
+        raw = rng.random(k) ** draw(st.sampled_from([1, 8]))  # dense or a few large entries
+        deviation = draw(st.sampled_from(screen_edge_masses(k)))
+        rows.append((raw / math.fsum(raw.tolist()) * (1.0 + deviation)).tolist())
+    ids = [f"r{i}" for i in range(n)]
+    return k, ids, [0] * n, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_datasets())
+def test_rows_near_the_screen_edges_match_the_row_oracle(data):
+    check_against_oracle(*data)
+
+
+def test_rows_where_np_sum_and_fsum_straddle_a_tolerance():
+    """Dense K = 2000 rows whose np.sum and fsum fall on either side of a tolerance.
+
+    A screen that trusted ``|np.sum - 1| <= 1e-9`` would leave the rows whose
+    fsum is beyond 1e-9 unrenormalized; at least one such row is included.
+    """
+    k, rows, kinds = 2000, [], set()
+    for tol in TOLERANCES:
+        for sign in (1.0, -1.0):
+            wanted = {True, False}  # np.sum inside the tolerance, or fsum inside
+            for seed in range(400):
+                raw = np.random.default_rng(seed).random(k)
+                base = raw / math.fsum(raw.tolist())
+                for j in range(-16, 17):
+                    row = base * (1.0 + sign * tol + j * 2.0**-52)
+                    by_sum = abs(row.sum() - 1.0) <= tol
+                    if by_sum in wanted and by_sum != (abs(math.fsum(row.tolist()) - 1.0) <= tol):
+                        wanted.discard(by_sum)
+                        kinds.add((tol, by_sum))
+                        rows.append(row.tolist())
+                if not wanted:
+                    break
+    assert (TOLERANCES[0], True) in kinds
+    check_against_oracle(k, [f"r{i}" for i in range(len(rows))], [0] * len(rows), rows)
