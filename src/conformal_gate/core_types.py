@@ -88,7 +88,7 @@ class ClassUniverse:
         object.__setattr__(self, "labels", labels)
         if len(labels) < 2:
             raise DataError("a class universe needs at least 2 classes")
-        names: dict[str, int] = {}
+        names = set()
         for i, label in enumerate(labels):
             if label.index != i:
                 raise DataError(
@@ -96,8 +96,7 @@ class ClassUniverse:
                 )
             if label.name in names:
                 raise DataError(f"duplicate class name {label.name!r}")
-            names[label.name] = i
-        object.__setattr__(self, "_index_of_name", names)
+            names.add(label.name)
 
     @property
     def k(self) -> int:
@@ -116,7 +115,10 @@ class ClassUniverse:
         return self.labels[index].name
 
     def index_of(self, name: str) -> int | None:
-        return self._index_of_name.get(name)
+        for label in self.labels:
+            if label.name == name:
+                return label.index
+        return None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -186,7 +188,8 @@ def _apply_mass_policy(probs: np.ndarray, lines: Sequence[int] | None) -> np.nda
         )
     probs[renormalize] /= masses[renormalize, None]
     masses[renormalize] = np.nan
-    recheck = renormalize & ~_near_one(probs, SILENT_TOL)
+    recheck = renormalize.copy()
+    recheck[renormalize] = ~_near_one(probs[renormalize], SILENT_TOL)
     masses[recheck] = _fsum_rows(probs[recheck])
     return np.where(np.abs(masses - 1.0) > SILENT_TOL, masses, np.nan)
 
@@ -196,11 +199,10 @@ def _find_violations(
 ) -> tuple[Violation, ...]:
     """Every violation, by row and then in a fixed order of checks."""
     duplicate = np.zeros(len(ids), dtype=bool)
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for i, sample_id in enumerate(ids):
-            duplicate[i] = sample_id in seen
-            seen.add(sample_id)
+    seen: set[str] = set()
+    for i, sample_id in enumerate(ids):
+        duplicate[i] = sample_id in seen
+        seen.add(sample_id)
     bad_label = (labels < 0) | (labels >= k)
     finite = np.isfinite(probs).all(axis=1)
     outside = (probs < 0.0) | (probs > 1.0)

@@ -102,7 +102,8 @@ def test_every_band_boundary_matches_the_oracle():
     rows += [[math.nan, 0.5, 0.5, 0.0], [math.inf, 0.0, 0.0, 0.0], [0.5, -math.inf, 0.5, 0.0],
              [1.2, -0.2, 0.0, 0.0], [1.0000005, 0.0, 0.0, 0.0], [-1e-7, 1.0, 0.0, 0.0],
              [0.4, 0.4, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0],
-             [1e17, 1.0, -1e17, 1.0]]  # np.sum gives 1.0, fsum 2.0
+             [1e17, 1.0, -1e17, 1.0],  # np.sum gives 1.0, fsum 2.0
+             [1e17, 16.0 - 1e17, -14.9995, 0.0]]  # mass 1.008 after renormalizing
     ids = [f"s{i}" for i in range(len(rows))]
     ids[5] = ids[2]  # a duplicate
     labels = [i % (k + 2) - 1 for i in range(len(rows))]  # -1 and k are out of range
