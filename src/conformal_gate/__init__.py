@@ -17,7 +17,6 @@ from .calibration import (
     quantile_level,
 )
 from .core_types import (
-    ClassLabel,
     ClassUniverse,
     DataError,
     Dataset,
@@ -61,7 +60,6 @@ __all__ = [
     "ALL_INCLUSIVE",
     "Alpha",
     "CalibrationResult",
-    "ClassLabel",
     "ClassUniverse",
     "ConfusionMatrix",
     "CoverageTrialResult",

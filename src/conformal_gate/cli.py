@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import io as cgio
@@ -23,8 +22,7 @@ from .calibration import ALL_INCLUSIVE, Alpha, calibrate, export_calibration_cur
 from .core_types import DataError
 from .metrics import evaluate
 from .predictor import predict_batch
-from .rng import nth_output
-from .synth import SyntheticSpec, coverage_trial, generate
+from .synth import SyntheticSpec, coverage_trial, trial_data
 
 logger = logging.getLogger("conformal_gate.cli")
 
@@ -119,11 +117,7 @@ def _read_artifact(path: str, universe) -> float:
     "all_inclusive" nor a finite number in [0, 1], is a data error.  Class
     names that differ only warn.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            artifact = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed calibration artifact {path}: {exc}") from exc
+    artifact = cgio.read_json(path, "calibration artifact")
     if not isinstance(artifact, dict):
         raise DataError(f"malformed calibration artifact {path}: not a JSON object")
     if "threshold" not in artifact:
@@ -163,23 +157,11 @@ def cmd_predict(args) -> int:
 
 
 def _print_summary(report) -> None:
-    width = max(len(name) for name in report.class_names + ("overall",))
-
-    def fmt(value):
-        return "   n/a" if value is None else f"{value:.4f}"
-
+    rows = cgio.report_rows(report)
+    width = max(len(name) for name, *_ in rows)
     print(f"{'class':<{width}}  recall  avg_set_size  strict_coverage")
-    for i, name in enumerate(report.class_names):
-        print(
-            f"{name:<{width}}  {fmt(report.per_class_recall[i])}"
-            f"  {fmt(report.per_class_avg_set_size[i]):>12}"
-            f"  {fmt(report.per_class_strict_coverage[i]):>15}"
-        )
-    print(
-        f"{'overall':<{width}}  {fmt(report.accuracy)}"
-        f"  {fmt(report.overall_avg_set_size):>12}"
-        f"  {fmt(report.overall_strict_coverage):>15}"
-    )
+    for name, recall, avg_set_size, strict_coverage in rows:
+        print(f"{name:<{width}}  {recall:>6}  {avg_set_size:>12}  {strict_coverage:>15}")
     print(
         f"n={report.n_test}  marginal_coverage={report.marginal_coverage:.4f}"
         f"  uncertain={report.uncertain_total}"
@@ -220,9 +202,7 @@ def cmd_simulate(args) -> int:
     if args.write_data:
         out_dir = Path(args.write_data)
         out_dir.mkdir(parents=True, exist_ok=True)
-        last = args.seeds - 1
-        calib = generate(replace(spec, seed=nth_output(spec.seed, 2 * last)), args.n_calib)
-        test = generate(replace(spec, seed=nth_output(spec.seed, 2 * last + 1)), args.n_test)
+        calib, test = trial_data(spec, args.seeds - 1, args.n_calib, args.n_test)
         cgio.write_dataset(calib, out_dir / "calibration.csv")
         cgio.write_dataset(test, out_dir / "test.csv")
     print(

@@ -70,59 +70,40 @@ class InvalidDatasetError(DataError):
 
 
 @dataclass(frozen=True)
-class ClassLabel:
-    """One class: dense zero-based index plus a human-readable name."""
-
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class ClassUniverse:
     """The ordered set of K classes every dataset and matrix is indexed by."""
 
-    labels: tuple[ClassLabel, ...]
+    names: tuple[str, ...]
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(labels) < 2:
+        names = tuple(self.names)
+        object.__setattr__(self, "names", names)
+        if len(names) < 2:
             raise DataError("a class universe needs at least 2 classes")
-        names = set()
-        for i, label in enumerate(labels):
-            if label.index != i:
-                raise DataError(
-                    f"class indices must be dense and zero-based; position {i} has index {label.index}"
-                )
-            if label.name in names:
-                raise DataError(f"duplicate class name {label.name!r}")
-            names.add(label.name)
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise DataError(f"duplicate class name {name!r}")
+            seen.add(name)
 
     @property
     def k(self) -> int:
-        return len(self.labels)
+        return len(self.names)
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "ClassUniverse":
-        return cls(tuple(ClassLabel(i, str(n)) for i, n in enumerate(names)))
+        return cls(tuple(str(n) for n in names))
 
     @classmethod
     def generic(cls, k: int) -> "ClassUniverse":
         """K anonymous classes named class_0 ... class_{K-1}."""
         return cls.from_names(f"class_{i}" for i in range(k))
 
-    def name_of(self, index: int) -> str:
-        return self.labels[index].name
-
     def index_of(self, name: str) -> int | None:
-        for label in self.labels:
-            if label.name == name:
-                return label.index
-        return None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(label.name for label in self.labels)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            return None
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .calibration import CurveData
 from .core_types import (
-    ClassLabel,
     ClassUniverse,
     DUPLICATE_ID,
     DataError,
@@ -65,6 +64,45 @@ class ParseError(DataError):
 
 class UnknownLabelError(ParseError):
     """A true_label value is neither a valid index nor a known class name."""
+
+
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file, line endings translated as text-mode ``open`` does.
+
+    The one place that opens an input file to read text.  A byte that is not
+    UTF-8 is a ParseError citing its line, numbered as ``str.splitlines`` does.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"{path} is not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line=line
+        ) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON value in a file; invalid JSON is a ParseError naming ``what`` and the path."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """Each non-blank line of a JSON-lines file, parsed, with its 1-based line number."""
+    for line, row in enumerate(_read_text(path).splitlines(), start=1):
+        if not row.strip():
+            continue
+        try:
+            obj = json.loads(row)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}", line=line) from exc
+        yield line, obj
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -100,23 +138,29 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 
 def load_universe(path: str | Path) -> ClassUniverse:
-    """Read classes.json; each entry needs an integer ``index`` and a string ``name``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            entries = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed classes file {path}: {exc}") from exc
+    """Read classes.json.
+
+    Each entry needs an integer ``index`` and a string ``name``, and the
+    indices of K entries are 0..K-1, each used once, in any order.
+    """
+    entries = read_json(path, "classes file")
     try:
-        labels = [ClassLabel(e["index"], e["name"]) for e in entries]
+        pairs = [(e["index"], e["name"]) for e in entries]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed classes file {path}: {exc}") from exc
-    for label in labels:
-        if type(label.index) is not int or type(label.name) is not str:
+    for index, name in pairs:
+        if type(index) is not int or type(name) is not str:
             raise ParseError(
-                f"malformed classes file {path}: index {label.index!r} and name"
-                f" {label.name!r} are not an integer and a string"
+                f"malformed classes file {path}: index {index!r} and name"
+                f" {name!r} are not an integer and a string"
             )
-    return ClassUniverse(tuple(sorted(labels, key=lambda label: label.index)))
+    names = dict(pairs)
+    if sorted(names) != list(range(len(pairs))):
+        raise ParseError(
+            f"malformed classes file {path}: the indices of {len(pairs)} classes"
+            f" are not 0..{len(pairs) - 1}, each used once"
+        )
+    return ClassUniverse(tuple(names[i] for i in range(len(pairs))))
 
 
 def write_universe(universe: ClassUniverse, path: str | Path) -> None:
@@ -124,14 +168,14 @@ def write_universe(universe: ClassUniverse, path: str | Path) -> None:
 
 
 def universe_json_text(universe: ClassUniverse) -> str:
-    entries = [{"index": lab.index, "name": lab.name} for lab in universe.labels]
+    entries = [{"index": i, "name": name} for i, name in enumerate(universe.names)]
     return json.dumps(entries, indent=2) + "\n"
 
 
 def universe_digest(universe: ClassUniverse) -> str:
     """Stable sha256 of the class universe, for artifact cross-checks."""
     canonical = json.dumps(
-        [[lab.index, lab.name] for lab in universe.labels], separators=(",", ":")
+        [[i, name] for i, name in enumerate(universe.names)], separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -173,27 +217,6 @@ def _check_width(width: int, universe: ClassUniverse, line: int) -> None:
         )
 
 
-class _Rows:
-    """Rows parsed from a JSONL dataset file, in file order, with their line numbers."""
-
-    def __init__(self):
-        self.ids: list[str] = []
-        self.labels: list[int] = []
-        self.values: list[float] = []
-        self.lines: list[int] = []
-
-    def append(self, sample_id: str, label: int, values: list[float], line: int) -> None:
-        self.ids.append(sample_id)
-        self.labels.append(label)
-        self.values.extend(values)
-        self.lines.append(line)
-
-    def dataset(self, universe: ClassUniverse, error: DataError | None) -> Dataset:
-        probs = np.array(self.values, dtype=np.float64).reshape(len(self.ids), universe.k)
-        dataset = Dataset(universe, self.ids, self.labels, probs, lines=self.lines)
-        return _checked(dataset, self.lines, error)
-
-
 def _checked(dataset: Dataset, lines: Sequence[int], error: DataError | None) -> Dataset:
     """The dataset read from a file, or the first problem in file order.
 
@@ -216,35 +239,26 @@ def _checked(dataset: Dataset, lines: Sequence[int], error: DataError | None) ->
     return dataset
 
 
-def _infer_format(path: str | Path) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    return "csv"
+def _is_jsonl(path: str | Path) -> bool:
+    return Path(path).suffix.lower() in (".jsonl", ".ndjson")
 
 
-def load_probabilities(
-    path: str | Path,
-    universe: ClassUniverse | None = None,
-    fmt: str | None = None,
-) -> Dataset:
+def load_probabilities(path: str | Path, universe: ClassUniverse | None = None) -> Dataset:
     """Load a labeled probability file (CSV or JSONL) into a Dataset.
 
-    When no universe is given, one is inferred from the file with generic
-    class names (labels must then be numeric indices).  Any parse error or
-    dataset violation raises with the 1-based line number of its row.
+    The suffix picks the format: ``.jsonl`` and ``.ndjson`` are JSONL, any
+    other is CSV.  When no universe is given, one is inferred from the file
+    with generic class names (labels must then be numeric indices).  Any
+    parse error or dataset violation raises with the 1-based line number of
+    its row.
     """
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
-        return _load_csv(path, universe)
-    if fmt == "jsonl":
+    if _is_jsonl(path):
         return _load_jsonl(path, universe)
-    raise DataError(f"unknown dataset format {fmt!r}")
+    return _load_csv(path, universe)
 
 
 def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file: missing header", line=1)
     header = lines[0].split(",")
@@ -323,17 +337,13 @@ def _first_bad_row(
 
 
 def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    rows = _Rows()
+    ids: list[str] = []
+    labels: list[int] = []
+    values: list[float] = []
+    lines: list[int] = []
+    error = None
     try:
-        for offset, row in enumerate(lines, start=1):
-            if not row.strip():
-                continue
-            try:
-                obj = json.loads(row)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line=offset) from exc
+        for offset, obj in _json_lines(path):
             try:
                 sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
             except (KeyError, TypeError) as exc:
@@ -343,21 +353,25 @@ def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
             if type(probs) is not list or not all(type(v) in (int, float) for v in probs):
                 raise ParseError("probs is not a JSON array of numbers", line=offset)
             try:
-                values = [float(v) for v in probs]
+                row = [float(v) for v in probs]
             except OverflowError as exc:
                 raise ParseError(f"probs entry out of float range: {exc}", line=offset) from exc
             if universe is None:
-                universe = ClassUniverse.generic(len(values))
+                universe = ClassUniverse.generic(len(row))
             label = _resolve_label(raw_label, universe, offset)
-            _check_width(len(values), universe, offset)
-            rows.append(sample_id, label, values, offset)
+            _check_width(len(row), universe, offset)
+            ids.append(sample_id)
+            labels.append(label)
+            values.extend(row)
+            lines.append(offset)
     except DataError as exc:
         if universe is None:
             raise
-        return rows.dataset(universe, exc)
+        error = exc
     if universe is None:
         raise ParseError("empty JSONL file: cannot infer the class universe", line=1)
-    return rows.dataset(universe, None)
+    probs = np.array(values, dtype=np.float64).reshape(len(ids), universe.k)
+    return _checked(Dataset(universe, ids, labels, probs, lines=lines), lines, error)
 
 
 # The loader splits the file with str.splitlines and each row on ",", with
@@ -396,14 +410,10 @@ def dataset_jsonl_text(dataset: Dataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_dataset(dataset: Dataset, path: str | Path, fmt: str | None = None) -> None:
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
-        write_atomic(path, dataset_csv_text(dataset))
-    elif fmt == "jsonl":
-        write_atomic(path, dataset_jsonl_text(dataset))
-    else:
-        raise DataError(f"unknown dataset format {fmt!r}")
+def write_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write JSONL for a ``.jsonl`` or ``.ndjson`` suffix, CSV otherwise."""
+    text = dataset_jsonl_text(dataset) if _is_jsonl(path) else dataset_csv_text(dataset)
+    write_atomic(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +443,13 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
     A member that is not an int in [0, k) (bools included), or a ``set_size``
     other than the count of distinct members, is a ParseError with its line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
     ids: list[str] = []
     rows: list[int] = []
     columns: list[int] = []
-    for offset, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for offset, obj in _json_lines(path):
         try:
-            obj = json.loads(line)
             sample_id, members = obj["sample_id"], list(obj["members"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad prediction record: {exc}", line=offset) from exc
         if type(sample_id) is not str:
             raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
@@ -575,23 +580,21 @@ def _cell(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+def report_rows(report: EvaluationReport) -> list[list[str]]:
+    """The cells of each :func:`report_csv_text` row, for the CSV and the evaluate summary."""
+    rows = zip(report.class_names, report.per_class_recall,
+               report.per_class_avg_set_size, report.per_class_strict_coverage)
+    overall = ("overall", report.accuracy, report.overall_avg_set_size,
+               report.overall_strict_coverage)
+    return [[name, *map(_cell, values)] for name, *values in (*rows, overall)]
+
+
 def report_csv_text(report: EvaluationReport) -> str:
     """Per-class metric table: class rows, then an overall row.
 
     The overall row's recall column carries the accuracy.
     """
-    lines = ["class,recall,avg_set_size,strict_coverage"]
-    for i, name in enumerate(report.class_names):
-        lines.append(
-            f"{name},{_cell(report.per_class_recall[i])},"
-            f"{_cell(report.per_class_avg_set_size[i])},"
-            f"{_cell(report.per_class_strict_coverage[i])}"
-        )
-    lines.append(
-        f"overall,{_cell(report.accuracy)},"
-        f"{_cell(report.overall_avg_set_size)},"
-        f"{_cell(report.overall_strict_coverage)}"
-    )
+    lines = ["class,recall,avg_set_size,strict_coverage", *map(",".join, report_rows(report))]
     return "\n".join(lines) + "\n"
 
 
@@ -619,8 +622,7 @@ def write_report(report: EvaluationReport, path: str | Path, fmt: str | None = N
 
 
 def read_report(path: str | Path) -> EvaluationReport:
-    with open(path, "r", encoding="utf-8") as handle:
-        return EvaluationReport.from_json_obj(json.load(handle))
+    return EvaluationReport.from_json_obj(read_json(path, "report"))
 
 
 def write_curve(curve: CurveData, path: str | Path) -> None:

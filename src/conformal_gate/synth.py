@@ -123,6 +123,19 @@ class CoverageTrialResult:
         }
 
 
+def trial_data(
+    spec: SyntheticSpec, trial: int, n_calib: int, n_test: int
+) -> tuple[Dataset, Dataset]:
+    """The calibration and test sets of one coverage trial.
+
+    Trial t generates them from independent substreams derived from
+    spec.seed: stream outputs 2t and 2t + 1 are their seeds.
+    """
+    calib = generate(replace(spec, seed=nth_output(spec.seed, 2 * trial)), n_calib)
+    test = generate(replace(spec, seed=nth_output(spec.seed, 2 * trial + 1)), n_test)
+    return calib, test
+
+
 def coverage_trial(
     spec: SyntheticSpec,
     n_calib: int,
@@ -132,9 +145,8 @@ def coverage_trial(
 ) -> CoverageTrialResult:
     """Empirical marginal coverage of the full calibrate-then-predict pipeline.
 
-    For each trial, calibration and test sets are generated from independent
-    substreams derived from spec.seed (trial t uses stream outputs 2t and
-    2t + 1 as seeds), then coverage is measured on the test set.
+    For each trial, the calibration and test sets of :func:`trial_data` are
+    generated, then coverage is measured on the test set.
     """
     if n_calib < 1:
         raise DataError(f"n_calib must be >= 1, got {n_calib}")
@@ -144,10 +156,7 @@ def coverage_trial(
         alpha = Alpha(alpha)
     coverages: list[float] = []
     for trial in range(n_seeds):
-        calib_spec = replace(spec, seed=nth_output(spec.seed, 2 * trial))
-        test_spec = replace(spec, seed=nth_output(spec.seed, 2 * trial + 1))
-        calib = generate(calib_spec, n_calib)
-        test = generate(test_spec, n_test)
+        calib, test = trial_data(spec, trial, n_calib, n_test)
         result = calibrate(calib, alpha)
         coverages.append(marginal_coverage(predict_batch(test, result), test.labels))
     values = np.asarray(coverages, dtype=np.float64)

@@ -179,9 +179,9 @@ def test_criterion_6_determinism_and_round_trips(tmp_path):
     round_trip_ok = True
     for fmt in ("csv", "jsonl"):
         path = tmp_path / f"data.{fmt}"
-        write_dataset(data, path, fmt=fmt)
+        write_dataset(data, path)
         round_trip_ok = round_trip_ok and (
-            load_probabilities(path, universe=data.universe, fmt=fmt) == data
+            load_probabilities(path, universe=data.universe) == data
         )
 
     data_path = tmp_path / "data.csv"

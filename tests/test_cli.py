@@ -16,6 +16,8 @@ from conformal_gate import (
     write_dataset,
 )
 from conformal_gate.cli import main
+from conformal_gate.io import load_predictions
+from conformal_gate.metrics import marginal_coverage
 from conformal_gate.synth import SyntheticSpec, generate
 
 from conftest import one_hot
@@ -269,6 +271,38 @@ class TestEvaluateCommand:
         assert read_report(direct_json) == read_report(via_file_json)
 
 
+class TestNonUtf8Input:
+    FILES = {
+        "d.csv": "sample_id,true_label,p_0,p_1\ns0,0,1.0,0.0\ns1,1,0.0,1.0\n",
+        "d.jsonl": '{"sample_id": "s0", "true_label": 0, "probs": [1.0, 0.0]}\n'
+                   '{"sample_id": "s1", "true_label": 1, "probs": [0.0, 1.0]}\n',
+        "pred.jsonl": '{"sample_id": "s0", "members": [0]}\n{"sample_id": "s1", "members": [1]}\n',
+        "classes.json": '[\n  {"index": 0, "name": "a"},\n  {"index": 1, "name": "b"}\n]\n',
+        "artifact.json": '{\n  "threshold": 0.5\n}\n',
+    }
+
+    @pytest.mark.parametrize("corrupt, line, argv", [
+        ("d.csv", 3, ["calibrate", "--input", "d.csv", "--out", "a.json"]),
+        ("d.jsonl", 2, ["calibrate", "--input", "d.jsonl", "--out", "a.json"]),
+        ("pred.jsonl", 2, ["evaluate", "--input", "d.csv", "--predictions", "pred.jsonl",
+                           "--out-json", "r.json", "--out-csv", "r.csv"]),
+        ("classes.json", 3, ["calibrate", "--input", "d.csv", "--classes", "classes.json",
+                             "--out", "a.json"]),
+        ("artifact.json", 2, ["predict", "--calibration", "artifact.json", "--input", "d.csv",
+                              "--out", "sets.jsonl"]),
+    ], ids=["dataset-csv", "dataset-jsonl", "predictions", "classes", "artifact"])
+    def test_non_utf8_byte_exits_2_citing_line(self, tmp_path, monkeypatch, capsys,
+                                               corrupt, line, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            lines = [row.encode() for row in text.splitlines(keepends=True)]
+            if name == corrupt:
+                lines[line - 1] = lines[line - 1][:1] + b"\xff" + lines[line - 1][1:]
+            (tmp_path / name).write_bytes(b"".join(lines))
+        assert run(*argv) == 2
+        assert f"error: line {line}: {corrupt} is not UTF-8: byte 0xff" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_default_shape(self, tmp_path):
         out = tmp_path / "trial.json"
@@ -302,6 +336,22 @@ class TestSimulateCommand:
         test = load_probabilities(out_dir / "test.csv")
         assert len(calib) == 50
         assert len(test) == 60
+
+    def test_written_data_reproduces_the_last_trial(self, tmp_path):
+        out_dir = tmp_path / "data"
+        assert run("simulate", "--k", "4", "--n-calib", "40", "--n-test", "400",
+                   "--alpha", "0.2", "--seeds", "3", "--seed", "5",
+                   "--out", str(tmp_path / "t.json"), "--write-data", str(out_dir)) == 0
+        per_seed = json.loads((tmp_path / "t.json").read_text())["per_seed"]
+        assert len(set(per_seed)) == 3
+        artifact, sets = tmp_path / "a.json", tmp_path / "sets.jsonl"
+        assert run("calibrate", "--input", str(out_dir / "calibration.csv"), "--alpha", "0.2",
+                   "--out", str(artifact)) == 0
+        assert run("predict", "--calibration", str(artifact),
+                   "--input", str(out_dir / "test.csv"), "--out", str(sets)) == 0
+        test = load_probabilities(out_dir / "test.csv")
+        coverage = marginal_coverage(load_predictions(sets, test.universe.k), test.labels)
+        assert coverage == per_seed[-1]
 
 
 class TestDeterminism:

@@ -208,8 +208,8 @@ class TestRoundTrips:
     def test_dataset_round_trip_is_exact(self, tmp_path, fmt):
         d = generate(SyntheticSpec(k=5, seed=91), 100)
         path = tmp_path / f"d.{fmt}"
-        write_dataset(d, path, fmt=fmt)
-        loaded = load_probabilities(path, universe=d.universe, fmt=fmt)
+        write_dataset(d, path)
+        loaded = load_probabilities(path, universe=d.universe)
         assert loaded == d
 
     @pytest.mark.parametrize("sample_id", ["x,y", 'say "hi"', "two\nlines", "cr\r", "vt\x0b",
@@ -234,6 +234,45 @@ class TestRoundTrips:
         path = tmp_path / "report.json"
         write_report(report, path, fmt="json")
         assert read_report(path) == report
+
+
+class TestLoadUniverse:
+    @pytest.mark.parametrize("indices", [(1, 2), (0, 0), (-1, 0), (0, 2, 1, 3, 5)],
+                             ids=["sparse", "duplicate", "negative", "gap"])
+    def test_indices_must_be_dense_and_zero_based(self, tmp_path, indices):
+        path = tmp_path / "classes.json"
+        path.write_text(json.dumps([{"index": i, "name": f"c{n}"} for n, i in enumerate(indices)]))
+        with pytest.raises(ParseError, match="each used once"):
+            load_universe(path)
+
+    def test_entries_may_come_in_any_order(self, tmp_path):
+        path = tmp_path / "classes.json"
+        path.write_text('[{"index": 1, "name": "b"}, {"index": 0, "name": "a"}]')
+        assert load_universe(path).names == ("a", "b")
+
+    def test_crlf_file_reports_the_json_position_of_its_lf_form(self, tmp_path):
+        path = tmp_path / "classes.json"
+        path.write_bytes(b'[\r\n {"index": 0, "name": "a"},\r\n {"index": 1 "name": "b"}]')
+        with pytest.raises(ParseError, match=r"line 3 column 14 \(char 43\)$"):
+            load_universe(path)
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("before, line", [
+        (b"", 1), (b"sample_id", 1), (b"a\n", 2), (b"a\n\nb", 3), (b"a\r\nb\r\n", 3),
+        (b"a\rb\r", 3), ("a\u2028b\x85".encode(), 3), (b"a\x0cb", 2),
+    ])
+    def test_bad_byte_cites_its_line_as_splitlines_numbers_it(self, tmp_path, before, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(before + b"\xff\n")
+        with pytest.raises(ParseError, match=f"^line {line}: .* is not UTF-8: byte 0xff"):
+            load_probabilities(path)
+
+    def test_truncated_sequence_at_the_end(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"{}\n\xe2\x82")
+        with pytest.raises(ParseError, match=r"^line 2: .*byte 0xe2 \(unexpected end of data\)"):
+            load_probabilities(path)
 
 
 class TestLargestRemainder:
