@@ -10,7 +10,6 @@ from .calibration import (
     ALL_INCLUSIVE,
     Alpha,
     CalibrationResult,
-    CurveData,
     calibrate,
     calibrate_scores,
     export_calibration_curve,
@@ -27,7 +26,6 @@ from .core_types import (
     LengthMismatchError,
     Violation,
     require_valid,
-    validate_dataset,
 )
 from .io import (
     ParseError,
@@ -35,11 +33,9 @@ from .io import (
     UnknownLabelError,
     load_probabilities,
     load_universe,
-    read_report,
     split,
     write_dataset,
     write_report,
-    write_universe,
 )
 from .metrics import (
     ConfusionMatrix,
@@ -63,7 +59,6 @@ __all__ = [
     "ClassUniverse",
     "ConfusionMatrix",
     "CoverageTrialResult",
-    "CurveData",
     "DataError",
     "Dataset",
     "DimensionMismatchError",
@@ -92,13 +87,10 @@ __all__ = [
     "marginal_coverage",
     "predict_batch",
     "quantile_level",
-    "read_report",
     "require_valid",
     "split",
     "strict_coverage",
     "uncertain_histogram",
-    "validate_dataset",
     "write_dataset",
     "write_report",
-    "write_universe",
 ]

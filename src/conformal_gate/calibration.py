@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -57,47 +56,57 @@ def quantile_level(n: int, alpha: float | Alpha) -> float:
     return (1.0 - _alpha_value(alpha)) * (n + 1) / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
-    """Everything calibration produced: quantile level, scores, threshold.
+    """Calibration's outcome: alpha and the ascending calibration scores.
 
-    ``threshold`` is either a score value in [0, 1] or ``math.inf``
-    (all-inclusive).  Invariants are re-checked at construction.
+    ``sorted_scores`` is a read-only float64 copy of the given scores, which
+    must be finite and nondecreasing.  ``n``, ``qlevel`` and ``threshold``
+    follow from the two fields.  ``threshold`` is either a score value or
+    ``math.inf`` (all-inclusive).
     """
 
     alpha: float
-    n: int
-    qlevel: float
-    sorted_scores: tuple[float, ...]
-    threshold: float
+    sorted_scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sorted_scores", tuple(self.sorted_scores))
-        if len(self.sorted_scores) != self.n:
-            raise DataError("sorted_scores length must equal n")
-        if any(b < a for a, b in zip(self.sorted_scores, self.sorted_scores[1:])):
-            raise DataError("sorted_scores must be nondecreasing")
-        if self.qlevel != quantile_level(self.n, self.alpha):
-            raise DataError("qlevel does not match (1 - alpha) * (n + 1) / n")
-        if self.qlevel > 1.0:
-            if self.threshold != ALL_INCLUSIVE:
-                raise DataError("qlevel > 1 requires the all-inclusive threshold")
-        else:
-            expected = self.sorted_scores[math.ceil(self.qlevel * self.n) - 1]
-            if self.threshold != expected:
-                raise DataError(
-                    f"threshold {self.threshold!r} does not match rank statistic {expected!r}"
-                )
+        scores = np.array(self.sorted_scores, dtype=np.float64)
+        if scores.ndim != 1 or not (
+            np.isfinite(scores).all() and (scores[:-1] <= scores[1:]).all()
+        ):
+            raise DataError("sorted_scores must be a finite, nondecreasing 1-D array")
+        if len(scores) == 0:
+            raise EmptyCalibrationError("cannot calibrate on an empty score list")
+        scores.flags.writeable = False
+        object.__setattr__(self, "alpha", _alpha_value(self.alpha))
+        object.__setattr__(self, "sorted_scores", scores)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CalibrationResult):
+            return NotImplemented
+        return self.alpha == other.alpha and np.array_equal(self.sorted_scores, other.sorted_scores)
 
     @property
-    def is_all_inclusive(self) -> bool:
-        return self.threshold == ALL_INCLUSIVE
+    def n(self) -> int:
+        return len(self.sorted_scores)
+
+    @property
+    def qlevel(self) -> float:
+        return quantile_level(self.n, self.alpha)
 
     def threshold_rank(self) -> int | None:
         """1-based rank of the threshold score, or None when all-inclusive."""
-        if self.is_all_inclusive:
-            return None
-        return math.ceil(self.qlevel * self.n)
+        qlevel = self.qlevel
+        return None if qlevel > 1.0 else math.ceil(qlevel * self.n)
+
+    @property
+    def threshold(self) -> float:
+        rank = self.threshold_rank()
+        return ALL_INCLUSIVE if rank is None else float(self.sorted_scores[rank - 1])
+
+    @property
+    def is_all_inclusive(self) -> bool:
+        return self.threshold_rank() is None
 
 
 def nonconformity(probs: np.ndarray) -> np.ndarray:
@@ -105,28 +114,14 @@ def nonconformity(probs: np.ndarray) -> np.ndarray:
     return 1.0 - probs
 
 
-def calibrate_scores(scores: Sequence[float], alpha: float | Alpha) -> CalibrationResult:
+def calibrate_scores(scores: np.typing.ArrayLike, alpha: float | Alpha) -> CalibrationResult:
     """Calibrate directly from a multiset of nonconformity scores.
 
     Duplicate scores are kept (multiset semantics); the result depends only
-    on the score values, never on their input order.
+    on the score values, never on their input order.  The sort is stable,
+    so equal scores such as -0.0 and 0.0 keep the order they came in.
     """
-    n = len(scores)
-    if n == 0:
-        raise EmptyCalibrationError("cannot calibrate on an empty score list")
-    ordered = tuple(sorted(float(s) for s in scores))
-    qlevel = quantile_level(n, alpha)
-    if qlevel > 1.0:
-        threshold = ALL_INCLUSIVE
-    else:
-        threshold = ordered[math.ceil(qlevel * n) - 1]
-    return CalibrationResult(
-        alpha=_alpha_value(alpha),
-        n=n,
-        qlevel=qlevel,
-        sorted_scores=ordered,
-        threshold=threshold,
-    )
+    return CalibrationResult(alpha, np.sort(np.asarray(scores, dtype=np.float64), kind="stable"))
 
 
 def calibrate(calib: Dataset, alpha: float | Alpha) -> CalibrationResult:
@@ -139,24 +134,13 @@ def calibrate(calib: Dataset, alpha: float | Alpha) -> CalibrationResult:
         raise EmptyCalibrationError("calibration dataset is empty")
     require_valid(calib)
     scores = nonconformity(calib.probability_matrix()[np.arange(len(calib)), calib.labels])
-    return calibrate_scores(scores.tolist(), alpha)
+    return calibrate_scores(scores, alpha)
 
 
-@dataclass(frozen=True)
-class CurveData:
-    """Sorted calibration scores as plot-ready (rank, score) pairs."""
+def export_calibration_curve(result: CalibrationResult) -> str:
+    """The curve CSV for plotting: ``rank,score`` rows of the ascending scores, then the threshold.
 
-    points: tuple[tuple[int, float], ...]
-    threshold: float
-
-    def to_csv_text(self) -> str:
-        lines = ["rank,score"]
-        lines.extend(f"{rank},{score!r}" for rank, score in self.points)
-        lines.append("threshold," + ("inf" if self.threshold == ALL_INCLUSIVE else repr(self.threshold)))
-        return "\n".join(lines) + "\n"
-
-
-def export_calibration_curve(result: CalibrationResult) -> CurveData:
-    """Ascending score distribution plus the threshold line, for plotting."""
-    points = tuple((i, s) for i, s in enumerate(result.sorted_scores))
-    return CurveData(points=points, threshold=result.threshold)
+    The all-inclusive threshold, ``math.inf``, prints as ``inf``.
+    """
+    rows = [f"{rank},{score!r}" for rank, score in enumerate(result.sorted_scores.tolist())]
+    return "\n".join(["rank,score", *rows, f"threshold,{result.threshold!r}"]) + "\n"

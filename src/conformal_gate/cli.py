@@ -178,8 +178,7 @@ def cmd_evaluate(args) -> int:
     else:
         sets = predict_batch(dataset, _read_artifact(args.calibration, dataset.universe))
     report = evaluate(dataset, sets)
-    cgio.write_report(report, args.out_json, fmt="json")
-    cgio.write_report(report, args.out_csv, fmt="csv")
+    cgio.write_report(report, args.out_json, args.out_csv)
     _print_summary(report)
     return EXIT_OK
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,13 +91,9 @@ class ClassUniverse:
         return len(self.names)
 
     @classmethod
-    def from_names(cls, names: Iterable[str]) -> "ClassUniverse":
-        return cls(tuple(str(n) for n in names))
-
-    @classmethod
     def generic(cls, k: int) -> "ClassUniverse":
         """K anonymous classes named class_0 ... class_{K-1}."""
-        return cls.from_names(f"class_{i}" for i in range(k))
+        return cls(tuple(f"class_{i}" for i in range(k)))
 
     def index_of(self, name: str) -> int | None:
         try:
@@ -273,14 +269,6 @@ class Dataset:
         wrapping it sees every use.
         """
         return self.probs
-
-
-def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """Every invariant violation in the dataset; empty list iff valid.
-
-    Never raises on bad data: callers decide what to do with the report.
-    """
-    return list(dataset.violations)
 
 
 def require_valid(dataset: Dataset) -> Dataset:

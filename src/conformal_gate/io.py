@@ -38,7 +38,6 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .calibration import CurveData
 from .core_types import (
     ClassUniverse,
     DUPLICATE_ID,
@@ -161,15 +160,6 @@ def load_universe(path: str | Path) -> ClassUniverse:
             f" are not 0..{len(pairs) - 1}, each used once"
         )
     return ClassUniverse(tuple(names[i] for i in range(len(pairs))))
-
-
-def write_universe(universe: ClassUniverse, path: str | Path) -> None:
-    write_atomic(path, universe_json_text(universe))
-
-
-def universe_json_text(universe: ClassUniverse) -> str:
-    entries = [{"index": i, "name": name} for i, name in enumerate(universe.names)]
-    return json.dumps(entries, indent=2) + "\n"
 
 
 def universe_digest(universe: ClassUniverse) -> str:
@@ -611,20 +601,12 @@ def report_json_text(report: EvaluationReport) -> str:
     return json.dumps(obj, indent=2)[:-2] + f',\n  "confusion_matrix": {matrix}\n}}\n'
 
 
-def write_report(report: EvaluationReport, path: str | Path, fmt: str | None = None) -> None:
-    fmt = fmt or ("csv" if Path(path).suffix.lower() == ".csv" else "json")
-    if fmt == "json":
-        write_atomic(path, report_json_text(report))
-    elif fmt == "csv":
-        write_atomic(path, report_csv_text(report))
-    else:
-        raise DataError(f"unknown report format {fmt!r}")
+def write_report(report: EvaluationReport, json_path: str | Path, csv_path: str | Path) -> None:
+    """Write the report JSON and the per-class report CSV."""
+    write_atomic(json_path, report_json_text(report))
+    write_atomic(csv_path, report_csv_text(report))
 
 
-def read_report(path: str | Path) -> EvaluationReport:
-    return EvaluationReport.from_json_obj(read_json(path, "report"))
-
-
-def write_curve(curve: CurveData, path: str | Path) -> None:
-    """Write the curve CSV: ``rank,score`` rows, then the threshold row."""
-    write_atomic(path, curve.to_csv_text())
+def write_curve(text: str, path: str | Path) -> None:
+    """Write the curve CSV text of :func:`~conformal_gate.calibration.export_calibration_curve`."""
+    write_atomic(path, text)

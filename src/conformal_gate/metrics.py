@@ -172,26 +172,6 @@ class EvaluationReport:
             "confusion_matrix": self.confusion.counts.tolist(),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "EvaluationReport":
-        def per_class(values) -> PerClass:
-            return tuple(None if v is None else float(v) for v in values)
-
-        return cls(
-            class_names=tuple(obj["class_names"]),
-            n_test=int(obj["n_test"]),
-            accuracy=float(obj["accuracy"]),
-            per_class_recall=per_class(obj["per_class_recall"]),
-            overall_strict_coverage=float(obj["overall_strict_coverage"]),
-            per_class_strict_coverage=per_class(obj["per_class_strict_coverage"]),
-            marginal_coverage=float(obj["marginal_coverage"]),
-            overall_avg_set_size=float(obj["overall_avg_set_size"]),
-            per_class_avg_set_size=per_class(obj["per_class_avg_set_size"]),
-            uncertain_counts={int(size): int(c) for size, c in obj["uncertain_counts"].items()},
-            uncertain_total=int(obj["uncertain_total"]),
-            confusion=ConfusionMatrix(obj["confusion_matrix"]),
-        )
-
 
 def evaluate(test: Dataset, sets: PredictionSets) -> EvaluationReport:
     """Full evaluation of prediction sets against a labeled test dataset.

@@ -9,6 +9,11 @@ the same order.
 
 :func:`load_csv_rows` is the CSV loader that the bulk parse replaced: one
 row at a time, stopping at the first row it cannot parse.
+
+:func:`calibrate_scores_tuple` and :func:`curve_csv_tuple` are the
+calibration and curve export that the sorted score array replaced: the
+scores sorted into a tuple, the threshold picked from it, and the curve
+built from ``(rank, score)`` pairs.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from conformal_gate import (
     Violation,
 )
 
+ALL_INCLUSIVE = math.inf
 NOOP_TOL = 1e-9
 SILENT_TOL = 1e-6
 WARN_TOL = 1e-3
@@ -160,3 +166,41 @@ def load_csv_rows(path, universe: ClassUniverse | None) -> Dataset:
         raise ParseError(f"duplicate sample_id {v.sample_id!r} (first seen on line {first})",
                          line=numbers[v.row])
     return dataset
+
+
+@dataclass(frozen=True)
+class TupleCalibration:
+    """A calibration result with every derived value stored."""
+
+    alpha: float
+    n: int
+    qlevel: float
+    sorted_scores: tuple[float, ...]
+    threshold: float
+
+    def threshold_rank(self) -> int | None:
+        if self.threshold == ALL_INCLUSIVE:
+            return None
+        return math.ceil(self.qlevel * self.n)
+
+
+def calibrate_scores_tuple(scores, alpha: float) -> TupleCalibration:
+    """Sort the scores into a tuple and take the one at rank ceil(qlevel * n)."""
+    n = len(scores)
+    ordered = tuple(sorted(float(s) for s in scores))
+    qlevel = (1.0 - alpha) * (n + 1) / n
+    if qlevel > 1.0:
+        threshold = ALL_INCLUSIVE
+    else:
+        threshold = ordered[math.ceil(qlevel * n) - 1]
+    return TupleCalibration(alpha, n, qlevel, ordered, threshold)
+
+
+def curve_csv_tuple(result: TupleCalibration) -> str:
+    """The curve CSV from ``(rank, score)`` pairs and the threshold row."""
+    points = tuple((i, s) for i, s in enumerate(result.sorted_scores))
+    lines = ["rank,score"]
+    lines.extend(f"{rank},{score!r}" for rank, score in points)
+    lines.append("threshold," + ("inf" if result.threshold == ALL_INCLUSIVE
+                                 else repr(result.threshold)))
+    return "\n".join(lines) + "\n"

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal_gate import (
     ALL_INCLUSIVE,
@@ -24,8 +28,12 @@ from conformal_gate import (
     export_calibration_curve,
     quantile_level,
 )
+from conformal_gate.cli import main
 
 from conftest import make_dataset, one_hot
+from row_oracle import calibrate_scores_tuple, curve_csv_tuple
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force_threshold(scores, alpha: float) -> float:
@@ -112,7 +120,9 @@ class TestCalibrate:
         for _ in range(5):
             shuffled = rows[:]
             shuffler.shuffle(shuffled)
-            assert calibrate(make_dataset(4, shuffled), 0.1) == base
+            result = calibrate(make_dataset(4, shuffled), 0.1)
+            assert result == base
+            assert result.sorted_scores.tobytes() == base.sorted_scores.tobytes()
 
     def test_dataset_path_equals_score_path(self):
         rng = np.random.default_rng(12)
@@ -165,66 +175,122 @@ class TestOracleEquivalence:
 
 
 class TestCalibrationResultInvariants:
-    def test_wrong_qlevel_rejected(self):
-        with pytest.raises(DataError):
-            CalibrationResult(
-                alpha=0.05, n=2, qlevel=0.5, sorted_scores=(0.1, 0.2), threshold=0.2
-            )
+    def test_fields_are_alpha_and_a_read_only_score_array(self):
+        result = calibrate_scores([3, 1, 2, 2], 0.25)
+        assert [f.name for f in fields(result)] == ["alpha", "sorted_scores"]
+        assert result.sorted_scores.dtype == np.float64
+        assert not result.sorted_scores.flags.writeable
+        assert result.sorted_scores.tolist() == [1.0, 2.0, 2.0, 3.0]
+        assert type(result.threshold) is float
 
     def test_unsorted_scores_rejected(self):
-        with pytest.raises(DataError):
-            CalibrationResult(
-                alpha=0.05,
-                n=2,
-                qlevel=quantile_level(2, 0.05),
-                sorted_scores=(0.3, 0.1),
-                threshold=ALL_INCLUSIVE,
-            )
+        with pytest.raises(DataError, match="nondecreasing"):
+            CalibrationResult(alpha=0.05, sorted_scores=np.array([0.3, 0.1]))
 
-    def test_threshold_must_match_rank_statistic(self):
-        scores = tuple((i + 1) / 10 for i in range(9))
-        with pytest.raises(DataError):
-            CalibrationResult(
-                alpha=0.5,
-                n=9,
-                qlevel=quantile_level(9, 0.5),
-                sorted_scores=scores,
-                threshold=0.9,
-            )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            calibrate_scores([0.3, bad, 0.1], 0.25)
+        with pytest.raises(DataError, match="finite"):
+            CalibrationResult(alpha=0.25, sorted_scores=np.array([0.1, 0.3, bad]))
+
+    def test_empty_scores_rejected(self):
+        with pytest.raises(EmptyCalibrationError):
+            calibrate_scores([], 0.05)
+
+    def test_derived_values_follow_alpha_and_scores(self):
+        result = CalibrationResult(alpha=Alpha(0.1), sorted_scores=np.arange(1, 10) / 10)
+        assert result.alpha == 0.1
+        assert result.n == 9
+        assert result.qlevel == quantile_level(9, 0.1)
+        assert result.threshold_rank() == 9
+        assert result.threshold == 0.9
 
 
 class TestCurveExport:
     def test_points_and_threshold(self):
         # alpha = 0.25, n = 3: qlevel = 0.75 * 4 / 3 = 1.0, rank 3, tau = 0.3
         result = calibrate_scores([0.3, 0.1, 0.2], 0.25)
-        curve = export_calibration_curve(result)
-        assert curve.points == ((0, 0.1), (1, 0.2), (2, 0.3))
-        assert curve.threshold == result.threshold == 0.3
+        lines = export_calibration_curve(result).splitlines()
+        assert lines[1:-1] == ["0,0.1", "1,0.2", "2,0.3"]
+        assert lines[-1] == "threshold,0.3"
+        assert result.threshold == 0.3
 
     def test_single_score_goes_all_inclusive(self):
         result = calibrate_scores([0.5], 0.05)
         assert result.qlevel == pytest.approx(1.9, abs=1e-12)
-        curve = export_calibration_curve(result)
-        assert curve.points == ((0, 0.5),)
-        assert curve.threshold == ALL_INCLUSIVE
+        assert result.is_all_inclusive
+        lines = export_calibration_curve(result).splitlines()
+        assert lines[1:-1] == ["0,0.5"]
 
     def test_staircase_curve(self):
         scores = [(i + 1) / 100 for i in range(99)]
-        curve = export_calibration_curve(calibrate_scores(scores, 0.05))
-        assert len(curve.points) == 99
-        assert curve.threshold == 0.95
+        lines = export_calibration_curve(calibrate_scores(scores, 0.05)).splitlines()
+        assert len(lines) == 1 + 99 + 1
+        assert lines[-1] == "threshold,0.95"
 
     def test_csv_text_layout(self):
-        curve = export_calibration_curve(calibrate_scores([0.3, 0.1, 0.2], 0.25))
-        lines = curve.to_csv_text().splitlines()
+        text = export_calibration_curve(calibrate_scores([0.3, 0.1, 0.2], 0.25))
+        lines = text.splitlines()
         assert lines[0] == "rank,score"
         assert lines[1] == "0,0.1"
         assert lines[-1] == "threshold,0.3"
 
     def test_csv_marks_all_inclusive_as_inf(self):
-        curve = export_calibration_curve(calibrate_scores([0.5], 0.05))
-        assert curve.to_csv_text().splitlines()[-1] == "threshold,inf"
+        text = export_calibration_curve(calibrate_scores([0.5], 0.05))
+        assert text.splitlines()[-1] == "threshold,inf"
 
     def test_csv_curve_shape(self):
-        curve = export_calibration_curve(calibrate_scores([0.5], 0.05))
-        assert curve.to_csv_text().splitlines() == ["rank,score", "0,0.5", "threshold,inf"]
+        text = export_calibration_curve(calibrate_scores([0.5], 0.05))
+        assert text == "rank,score\n0,0.5\nthreshold,inf\n"
+
+    def test_signed_zeros_keep_their_input_order(self):
+        # -0.0 == 0.0, so only a stable sort prints them in the tuple sort's order
+        scores = [0.0, -0.0, 0.5] * 40
+        text = export_calibration_curve(calibrate_scores(scores, 0.1))
+        assert text == curve_csv_tuple(calibrate_scores_tuple(scores, 0.1))
+
+
+class TestGoldenFiles:
+    """``calibrate --curve`` against artifacts and curves written by the tuple-based code.
+
+    ``golden_calib.csv`` holds 50 ``synth`` rows (k=4, seed=5) and a copy of
+    each under another id, so every score is tied; it is calibrated at alpha
+    0.1.  ``golden_calib_14.csv`` holds 14 rows (k=4, seed=6), too few for a
+    finite threshold at alpha 0.05.
+    """
+
+    @pytest.mark.parametrize("calib, alpha, suffix", [
+        ("golden_calib.csv", "0.1", ""),
+        ("golden_calib_14.csv", "0.05", "_all_inclusive"),
+    ])
+    def test_calibrate_outputs_match_golden(self, tmp_path, calib, alpha, suffix):
+        artifact, curve = tmp_path / "artifact.json", tmp_path / "curve.csv"
+        assert main(["calibrate", "--input", str(DATA / calib), "--alpha", alpha,
+                     "--out", str(artifact), "--curve", str(curve)]) == 0
+        assert artifact.read_bytes() == (DATA / f"golden_artifact{suffix}.json").read_bytes()
+        assert curve.read_bytes() == (DATA / f"golden_curve{suffix}.csv").read_bytes()
+
+
+def _score_multisets():
+    """Scores of n in 1..500 drawn from a pool of at most n values, so ties are common.
+
+    The pool mixes -0.0 and 0.0, which compare equal but print differently.
+    """
+    return st.integers(1, 500).flatmap(lambda n: st.lists(
+        st.floats(-1.0, 2.0, allow_nan=False) | st.sampled_from([-0.0, 0.0]),
+        min_size=1, max_size=n,
+    ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_score_multisets(),
+       st.sampled_from([0.5, 0.2, 0.1, 0.05, 0.01]) | st.floats(0.001, 0.999))
+def test_array_calibration_matches_tuple_oracle(scores, alpha):
+    result = calibrate_scores(scores, alpha)
+    expected = calibrate_scores_tuple(scores, alpha)
+    assert result.n == expected.n
+    assert result.qlevel == expected.qlevel
+    assert repr(result.threshold) == repr(expected.threshold)
+    assert result.threshold_rank() == expected.threshold_rank()
+    assert export_calibration_curve(result) == curve_csv_tuple(expected)

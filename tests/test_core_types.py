@@ -13,7 +13,6 @@ from conformal_gate import (
     DimensionMismatchError,
     InvalidDatasetError,
     require_valid,
-    validate_dataset,
 )
 
 from conftest import make_dataset, one_hot
@@ -27,14 +26,14 @@ def stored(values) -> tuple[float, ...]:
 class TestClassUniverse:
     def test_names_must_be_unique(self):
         with pytest.raises(DataError):
-            ClassUniverse.from_names(["a", "a"])
+            ClassUniverse(("a", "a"))
 
     def test_needs_at_least_two_classes(self):
         with pytest.raises(DataError):
-            ClassUniverse.from_names(["only"])
+            ClassUniverse(("only",))
 
     def test_name_lookup(self):
-        universe = ClassUniverse.from_names(["Steel Sheets", "Shredder"])
+        universe = ClassUniverse(("Steel Sheets", "Shredder"))
         assert universe.k == 2
         assert universe.index_of("Shredder") == 1
         assert universe.index_of("nope") is None
@@ -94,35 +93,35 @@ class TestProbVectorPolicy:
 class TestValidateDataset:
     def test_bad_mass_reported_with_value(self):
         d = make_dataset(3, [("a", 0, (0.4, 0.2, 0.2))])
-        report = validate_dataset(d)
+        report = list(d.violations)
         assert len(report) == 1
         assert report[0].sample_id == "a"
         assert "probability mass 0.8" in report[0].reason
 
     def test_three_valid_one_hot_examples(self):
         d = make_dataset(3, [(f"s{i}", i, one_hot(3, i)) for i in range(3)])
-        assert validate_dataset(d) == []
+        assert list(d.violations) == []
 
     def test_duplicate_sample_id_named(self):
         d = make_dataset(2, [("a", 0, (1.0, 0.0)), ("a", 1, (0.0, 1.0))])
-        report = validate_dataset(d)
+        report = list(d.violations)
         assert len(report) == 1
         assert report[0].sample_id == "a"
         assert "duplicate" in report[0].reason
 
     def test_nan_is_a_violation_never_clamped(self):
         d = make_dataset(2, [("a", 0, (float("nan"), 1.0))])
-        report = validate_dataset(d)
+        report = list(d.violations)
         assert any("non-finite" in v.reason for v in report)
 
     def test_entry_outside_unit_interval(self):
         d = make_dataset(2, [("a", 0, (1.2, -0.2))])
-        report = validate_dataset(d)
+        report = list(d.violations)
         assert any("outside [0, 1]" in v.reason for v in report)
 
     def test_label_out_of_range(self):
         d = make_dataset(2, [("a", 5, (1.0, 0.0))])
-        report = validate_dataset(d)
+        report = list(d.violations)
         assert any("true_label" in v.reason for v in report)
 
     def test_wrong_dimension_reported(self):
@@ -162,7 +161,7 @@ class TestValidatedDataFlowsEverywhere:
                 ),
                 int(rng.integers(20, 120)),
             )
-            assert validate_dataset(d) == []
+            assert list(d.violations) == []
             result = calibrate(d, 0.1)
             sets = predict_batch(d, result)
             evaluate(d, sets)

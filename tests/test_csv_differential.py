@@ -56,7 +56,7 @@ def csv_files(draw):
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     universe = draw(st.sampled_from([None, None, "names", "names", "wrong_k"]))
     if universe == "names":
-        universe = ClassUniverse.from_names(NAMES[:k])
+        universe = ClassUniverse(NAMES[:k])
     elif universe == "wrong_k":
         universe = ClassUniverse.generic(k + 1)
     return ending.join(rows) + draw(st.sampled_from(["", ending])), universe

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate import ClassUniverse, Dataset, validate_dataset
+from conformal_gate import ClassUniverse, Dataset
 
 from row_oracle import LabeledExample, ProbVector, validate_examples
 
@@ -75,7 +75,7 @@ def check_against_oracle(k: int, ids, labels, rows) -> None:
                 for sid, label, row in zip(ids, labels, rows)]
     expected = np.array([ex.probs.values for ex in examples], dtype=np.float64)
     assert dataset.probs.tobytes() == expected.reshape(len(rows), k).tobytes()
-    assert validate_dataset(dataset) == validate_examples(examples, k)
+    assert list(dataset.violations) == validate_examples(examples, k)
     assert all(dataset.ids[v.row] == v.sample_id for v in dataset.violations)
 
     warned = [i for i, ex in enumerate(examples) if ex.probs.warned]

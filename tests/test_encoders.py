@@ -47,7 +47,7 @@ def golden_report():
     predicted = (labels + (np.arange(n) % 5 == 0) + (np.arange(n) % 7 == 0)) % k
     probs = np.full((n, k), 0.1)
     probs[np.arange(n), predicted] = 0.7
-    universe = ClassUniverse.from_names(["Steel Sheets", "Swarf é", "Shredder", "Cast"])
+    universe = ClassUniverse(("Steel Sheets", "Swarf é", "Shredder", "Cast"))
     data = Dataset(universe, tuple(f"s{i}" for i in range(n)), labels, probs)
     mask = probs >= 0.7
     mask[np.arange(n) % 4 == 0, 0] = True
@@ -60,7 +60,7 @@ def test_report_json_matches_golden(tmp_path):
     report = golden_report()
     assert report.per_class_recall[3] is None
     path = tmp_path / "report.json"
-    write_report(report, path, fmt="json")
+    write_report(report, path, tmp_path / "report.csv")
     assert path.read_bytes() == (DATA / "golden_report.json").read_bytes()
 
 

@@ -19,11 +19,9 @@ from conformal_gate import (
     load_probabilities,
     load_universe,
     predict_batch,
-    read_report,
     split,
     write_dataset,
     write_report,
-    write_universe,
 )
 from conformal_gate.io import (
     largest_remainder_sizes,
@@ -61,7 +59,7 @@ class TestLoadCsv:
             load_probabilities(path)
 
     def test_label_names_resolved_via_universe(self, tmp_path):
-        universe = ClassUniverse.from_names(["Steel Sheets", "Shredder"])
+        universe = ClassUniverse(("Steel Sheets", "Shredder"))
         path = tmp_path / "d.csv"
         path.write_text(
             "sample_id,true_label,p_0,p_1\n"
@@ -71,7 +69,7 @@ class TestLoadCsv:
         assert d.labels[0] == 1
 
     def test_unknown_label_name(self, tmp_path):
-        universe = ClassUniverse.from_names(["a", "b"])
+        universe = ClassUniverse(("a", "b"))
         path = tmp_path / "d.csv"
         path.write_text("sample_id,true_label,p_0,p_1\nx,Karlsruhe,0.5,0.5\n")
         with pytest.raises(UnknownLabelError, match="line 2"):
@@ -133,7 +131,7 @@ class TestLoadCsv:
 
 class TestLoadJsonl:
     def test_label_name_resolution(self, tmp_path):
-        universe = ClassUniverse.from_names(["Steel Sheets", "Shredder"])
+        universe = ClassUniverse(("Steel Sheets", "Shredder"))
         path = tmp_path / "d.jsonl"
         path.write_text(
             json.dumps({"sample_id": "a", "true_label": "Shredder", "probs": [0.25, 0.75]})
@@ -223,17 +221,19 @@ class TestRoundTrips:
         assert load_probabilities(tmp_path / "d.jsonl", universe=d.universe) == d
 
     def test_universe_round_trip(self, tmp_path):
-        universe = ClassUniverse.from_names(["Steel Sheets", "Swarf Scrap", "Shredder"])
+        universe = ClassUniverse(("Steel Sheets", "Swarf Scrap", "Shredder"))
         path = tmp_path / "classes.json"
-        write_universe(universe, path)
+        path.write_text(json.dumps([{"index": i, "name": name}
+                                    for i, name in enumerate(universe.names)]))
         assert load_universe(path) == universe
 
     def test_report_json_round_trip(self, tmp_path):
         data = generate(SyntheticSpec(k=4, seed=17), 200)
         report = evaluate(data, predict_batch(data, 0.5))
-        path = tmp_path / "report.json"
-        write_report(report, path, fmt="json")
-        assert read_report(path) == report
+        json_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+        write_report(report, json_path, csv_path)
+        assert json.loads(json_path.read_text()) == report.to_json_obj()
+        assert csv_path.read_text() == report_csv_text(report)
 
 
 class TestLoadUniverse:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conformal_gate import DataError, validate_dataset
+from conformal_gate import DataError
 from conformal_gate.synth import SyntheticSpec, coverage_trial, generate
 
 
@@ -45,7 +45,7 @@ class TestGenerate:
     def test_generated_data_always_validates(self):
         for seed in (0, 9, 1234):
             d = generate(SyntheticSpec(k=6, seed=seed, noise=0.4, sharpness=0.5), 300)
-            assert validate_dataset(d) == []
+            assert list(d.violations) == []
 
     def test_huge_sharpness_with_no_noise_makes_argmax_true(self):
         d = generate(SyntheticSpec(k=5, seed=3, sharpness=1e9, noise=0.0), 200)
