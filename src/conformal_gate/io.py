@@ -88,8 +88,11 @@ def read_json(path: str | Path, what: str) -> Any:
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed {what} {path}: {exc}") from exc
+
+
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
@@ -97,10 +100,16 @@ def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
     for line, row in enumerate(_read_text(path).splitlines(), start=1):
         if not row.strip():
             continue
+        value = row.strip(" \t")  # the JSON whitespace a line can hold: it has no CR or LF
         try:
-            obj = json.loads(row)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", line=line) from exc
+            obj, end = _scan_json(value, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError):
+            end = -1
+        if end != len(value):  # not one JSON value: json.loads words the error
+            try:
+                obj = json.loads(row)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise ParseError(f"bad JSON: {exc}", line=line) from exc
         yield line, obj
 
 
@@ -430,19 +439,51 @@ def write_predictions(
 def load_predictions(path: str | Path, k: int) -> PredictionSets:
     """Read prediction JSONL into sets over k classes.
 
-    A member that is not an int in [0, k) (bools included), or a ``set_size``
-    other than the count of distinct members, is a ParseError with its line.
+    ``members`` that is not a JSON array, a member that is not an int in
+    [0, k) (bools included), or a ``set_size`` other than the count of
+    distinct members, is a ParseError with its line.
     """
-    ids: list[str] = []
-    rows: list[int] = []
-    columns: list[int] = []
-    for offset, obj in _json_lines(path):
+    records: list[tuple[int, Any]] = []
+    try:
+        for record in _json_lines(path):
+            records.append(record)
+    except ParseError:  # a bad record before the bad line comes first
+        _check_prediction_rows(records, k)
+        raise
+    try:
+        ids = [obj["sample_id"] for _, obj in records]
+        members = [obj["members"] for _, obj in records]
+        stated = [obj["set_size"] for _, obj in records if "set_size" in obj]
+        if set(map(type, ids)) - {str} or set(map(type, members)) - {list}:
+            raise TypeError("a sample_id or members of the wrong JSON type")
+        flat = list(chain.from_iterable(members))
+        if set(map(type, flat)) - {int} or set(map(type, stated)) - {int}:
+            raise TypeError("a member or set_size that is not an int")
+        columns = np.fromiter(flat, np.int64, len(flat))  # OverflowError beyond int64
+        if columns.size and not (columns.min() >= 0 and columns.max() < k):
+            raise ValueError("a member outside [0, k)")
+        mask = np.zeros((len(ids), k), dtype=bool)
+        mask[np.repeat(np.arange(len(ids)), list(map(len, members))), columns] = True
+        sets = PredictionSets(ids, mask)
+        if sets.sizes[["set_size" in obj for _, obj in records]].tolist() != stated:
+            raise ValueError("a set_size that differs from its members")
+        return sets
+    except (KeyError, TypeError, ValueError, OverflowError):
+        _check_prediction_rows(records, k)
+        raise AssertionError("the column checks rejected records the row check accepts")
+
+
+def _check_prediction_rows(records: list[tuple[int, Any]], k: int) -> None:
+    """Raise the ParseError, with its line, of the first bad decoded prediction record."""
+    for offset, obj in records:
         try:
-            sample_id, members = obj["sample_id"], list(obj["members"])
+            sample_id, members = obj["sample_id"], obj["members"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad prediction record: {exc}", line=offset) from exc
         if type(sample_id) is not str:
             raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
+        if type(members) is not list:
+            raise ParseError(f"members {members!r} is not a JSON array", line=offset)
         for m in members:
             if type(m) is not int or not 0 <= m < k:
                 raise ParseError(f"member {m!r} is not a class index in [0, {k})", line=offset)
@@ -453,12 +494,6 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
             raise ParseError(
                 f"set_size {obj['set_size']!r} differs from the {size} members", line=offset
             )
-        rows.extend([len(ids)] * len(members))
-        columns.extend(members)
-        ids.append(sample_id)
-    mask = np.zeros((len(ids), k), dtype=bool)
-    mask[rows, columns] = True
-    return PredictionSets(ids, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +626,17 @@ def report_csv_text(report: EvaluationReport) -> str:
 def report_json_text(report: EvaluationReport) -> str:
     """``json.dumps(report.to_json_obj(), indent=2)`` and a newline.
 
-    The confusion matrix, the last key, is written here row by row:
+    The confusion matrix, the last key, is written here from one ``repr``:
     ``json.dumps`` encodes with pure Python whenever ``indent`` is set.
     """
     obj = report.to_json_obj()
-    rows = [",\n      ".join(map(str, row)) for row in obj.pop("confusion_matrix")]
-    matrix = ",".join(f"\n    [\n      {row}\n    ]" if row else "\n    []" for row in rows)
-    matrix = f"[{matrix}\n  ]" if rows else "[]"
+    counts = obj.pop("confusion_matrix")
+    if counts and counts[0]:
+        rows = repr(counts)[2:-2].replace(", ", ",\n      ").replace(
+            "],\n      [", "\n    ],\n    [\n      ")
+        matrix = f"[\n    [\n      {rows}\n    ]\n  ]"
+    else:  # no cells
+        matrix = json.dumps(counts, indent=2).replace("\n", "\n  ")
     return json.dumps(obj, indent=2)[:-2] + f',\n  "confusion_matrix": {matrix}\n}}\n'
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,8 +91,12 @@ def generate(spec: SyntheticSpec, n: int) -> Dataset:
     variates[rows, target] *= 1.0 + spec.sharpness
     probs = variates / variates.sum(axis=1, keepdims=True)
 
-    ids = tuple(f"synth-{i:06d}" for i in range(n))
-    return Dataset(ClassUniverse.generic(k), ids, labels, probs)
+    return Dataset(ClassUniverse.generic(k), _ids(n), labels, probs)
+
+
+@lru_cache(maxsize=2)  # a coverage trial's calibration and test sizes
+def _ids(n: int) -> tuple[str, ...]:
+    return tuple(f"synth-{i:06d}" for i in range(n))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ the same order.
 :func:`load_csv_rows` is the CSV loader that the bulk parse replaced: one
 row at a time, stopping at the first row it cannot parse.
 
+:func:`load_predictions_rows` is the prediction JSONL loader that the
+column checks replaced: ``json.loads`` and the checks once per line.
+
 :func:`calibrate_scores_tuple` and :func:`curve_csv_tuple` are the
 calibration and curve export that the sorted score array replaced: the
 scores sorted into a tuple, the threshold picked from it, and the curve
@@ -18,6 +21,7 @@ built from ``(rank, score)`` pairs.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +32,7 @@ from conformal_gate import (
     Dataset,
     DimensionMismatchError,
     ParseError,
+    PredictionSets,
     UnknownLabelError,
     Violation,
 )
@@ -166,6 +171,48 @@ def load_csv_rows(path, universe: ClassUniverse | None) -> Dataset:
         raise ParseError(f"duplicate sample_id {v.sample_id!r} (first seen on line {first})",
                          line=numbers[v.row])
     return dataset
+
+
+def load_predictions_rows(path, k: int) -> PredictionSets:
+    """Prediction JSONL decoded and checked one line at a time; errors name their line.
+
+    As the loader was before its column checks, with ``members`` required to
+    be a JSON array and too-deep nesting reported as bad JSON.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    ids, rows, columns = [], [], []
+    for offset, row in enumerate(lines, start=1):
+        if not row.strip():
+            continue
+        try:
+            obj = json.loads(row)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"bad JSON: {exc}", line=offset) from exc
+        try:
+            sample_id, members = obj["sample_id"], obj["members"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad prediction record: {exc}", line=offset) from exc
+        if type(sample_id) is not str:
+            raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
+        if type(members) is not list:
+            raise ParseError(f"members {members!r} is not a JSON array", line=offset)
+        for m in members:
+            if type(m) is not int or not 0 <= m < k:
+                raise ParseError(f"member {m!r} is not a class index in [0, {k})", line=offset)
+        size = len(set(members))
+        if "set_size" in obj and type(obj["set_size"]) is not int:
+            raise ParseError(f"set_size {obj['set_size']!r} is not a JSON integer", line=offset)
+        if "set_size" in obj and obj["set_size"] != size:
+            raise ParseError(
+                f"set_size {obj['set_size']!r} differs from the {size} members", line=offset
+            )
+        rows.extend([len(ids)] * len(members))
+        columns.extend(members)
+        ids.append(sample_id)
+    mask = np.zeros((len(ids), k), dtype=bool)
+    mask[rows, columns] = True
+    return PredictionSets(ids, mask)
 
 
 @dataclass(frozen=True)

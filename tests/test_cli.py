@@ -192,6 +192,14 @@ class TestPredictCommand:
                    "--out", str(tmp_path / "pred.jsonl")) == 2
         assert "not a JSON object" in capsys.readouterr().err
 
+    def test_deeply_nested_artifact_exits_2(self, tmp_path, capsys):
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text("[" * 100_000)
+        test = one_hot_csv(tmp_path, n=4, name="test.csv")
+        assert run("predict", "--calibration", str(artifact), "--input", str(test),
+                   "--out", str(tmp_path / "pred.jsonl")) == 2
+        assert f"malformed calibration artifact {artifact}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", [0, 0.0, 1, 1.0, "all_inclusive"])
     def test_threshold_bounds_are_accepted(self, tmp_path, threshold):
         artifact = self._artifact(tmp_path, threshold)
@@ -244,6 +252,28 @@ class TestEvaluateCommand:
                    "--out-json", str(tmp_path / "r.json"),
                    "--out-csv", str(tmp_path / "r.csv")) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("members", ['""', "{}", '"01"', "null", "3"])
+    def test_members_that_are_not_an_array_exit_2(self, tmp_path, capsys, members):
+        data = one_hot_csv(tmp_path, n=2)
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text('{"sample_id": "s0", "members": [0]}\n'
+                               f'{{"sample_id": "s1", "members": {members}}}\n')
+        assert run("evaluate", "--input", str(data), "--predictions", str(predictions),
+                   "--out-json", str(tmp_path / "r.json"),
+                   "--out-csv", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert "line 2: members" in err and "is not a JSON array" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_deeply_nested_prediction_line_exits_2_citing_line(self, tmp_path, capsys):
+        data = one_hot_csv(tmp_path, n=2)
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text('{"sample_id": "s0", "members": [0]}\n' + "[" * 100_000 + "\n")
+        assert run("evaluate", "--input", str(data), "--predictions", str(predictions),
+                   "--out-json", str(tmp_path / "r.json"),
+                   "--out-csv", str(tmp_path / "r.csv")) == 2
+        assert "error: line 2: bad JSON" in capsys.readouterr().err
 
     def test_needs_calibration_or_predictions(self, tmp_path):
         calib = one_hot_csv(tmp_path)

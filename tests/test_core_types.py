@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformal_gate import (
     ClassUniverse,
@@ -14,6 +16,7 @@ from conformal_gate import (
     InvalidDatasetError,
     require_valid,
 )
+from conformal_gate.core_types import _fsum_rows
 
 from conftest import make_dataset, one_hot
 
@@ -190,3 +193,60 @@ class TestDatasetAccessors:
     def test_datasets_with_equal_content_compare_equal(self):
         rows = [("a", 0, (0.7, 0.3)), ("b", 1, (0.2, 0.8))]
         assert make_dataset(2, rows) == make_dataset(2, rows)
+
+
+def fsum_or_inf(row: list[float]) -> float:
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+
+
+def hex_row(*values: str) -> list[float]:
+    return [float.fromhex(v) for v in values]
+
+
+# Entries of rows whose sum lies near 1: probabilities, float32 exports,
+# dust around ulp(1), signed zeros, subnormals and magnitudes that overflow.
+ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0, width=32),
+    st.builds(lambda m, e: m * 2.0**e, st.integers(-9, 9), st.integers(-110, -45)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 3.0, -2.0,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def row_matrices(draw) -> np.ndarray:
+    """Rows of one width, most of them completed to a mass near 1."""
+    k = draw(st.integers(2, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(st.lists(ENTRIES, min_size=k - 1, max_size=k - 1))
+        rest = fsum_or_inf(row)
+        tail = 1.0 - rest if math.isfinite(rest) else 1.0
+        rows.append(row + [draw(st.sampled_from([tail, 1.0, 0.0]) | ENTRIES)])
+    rows = np.array(rows, dtype=np.float64)
+    if draw(st.booleans()):  # as a float32 export, within float32's range
+        return np.clip(rows, -3e38, 3e38).astype(np.float32).astype(np.float64)
+    return rows
+
+
+# The explicit examples: cancelling magnitudes whose sum lies next to a
+# rounding tie of 1.  There the array sum of the rounding errors is off by
+# more than one ulp, so the check needs its error bound.  A search found
+# these among several million rows of that kind; generated rows miss them.
+@settings(max_examples=200, deadline=None)
+@given(row_matrices())
+@example(np.array([hex_row("0x1p-106", "-0x1p-105", "-0x1.8p-106", "-0x1.0000000000001p-53",
+                           "0x1p-106", "0x1.0000000000001p-52", "0x1p+2", "-0x1.8p+1")]))
+@example(np.array([hex_row("-0x1p-53", "0x1p+3", "-0x1.cp+2", "-0x1.8p-105", "0x1p-52",
+                           "0x1p-105", "0x1.8p-106")]))
+@example(np.array([hex_row("-0x1.4p+2", "0x1.8p-104", "0x1p+0", "0x1.8p-105",
+                           "-0x1.0000000000001p-51", "-0x1.8p-105", "0x1.0000000000003p-54",
+                           "0x1p+3", "-0x1.8p+1")]))
+def test_row_sums_are_the_fsum_bits(rows):
+    expected = np.array([fsum_or_inf(row) for row in rows.tolist()])
+    assert _fsum_rows(rows).tobytes() == expected.tobytes()

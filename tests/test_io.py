@@ -7,12 +7,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal_gate import (
     ClassUniverse,
     DataError,
     DimensionMismatchError,
     ParseError,
+    PredictionSets,
     SplitSpec,
     UnknownLabelError,
     evaluate,
@@ -188,6 +191,23 @@ class TestPredictionJsonl:
         path.write_text('{"sample_id": "a", "members": [2, 2], "set_size": 2}\n')
         with pytest.raises(ParseError, match="line 1: set_size 2 differs from the 1 members"):
             load_predictions(path, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_ids_and_masks_load_back_as_written(self, tmp_path_factory, data):
+        k = data.draw(st.integers(1, 6))
+        ids = data.draw(st.lists(st.text(), max_size=8))
+        mask = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                                           min_size=len(ids), max_size=len(ids))),
+                        dtype=bool).reshape(len(ids), k)
+        labels = data.draw(st.none() | st.lists(st.integers(0, k - 1), min_size=len(ids),
+                                                max_size=len(ids)))
+        path = tmp_path_factory.mktemp("sets") / "p.jsonl"
+        write_predictions(PredictionSets(ids, mask), path,
+                          None if labels is None else np.array(labels, dtype=np.int64))
+        loaded = load_predictions(path, k)
+        assert loaded.ids == tuple(ids)
+        assert np.array_equal(loaded.mask, mask)
 
 
 class TestWriteAtomic:
