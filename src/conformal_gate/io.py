@@ -96,8 +96,12 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Each non-blank line of a JSON-lines file, parsed, with its 1-based line number."""
-    for line, row in enumerate(_read_text(path).splitlines(), start=1):
+    """Each non-blank line of a JSON-lines file, parsed, with its 1-based line number.
+
+    Lines end at LF only: U+0085, U+2028 and U+2029 may stand unescaped in a
+    JSON string, and ``str.splitlines`` would break the line there.
+    """
+    for line, row in enumerate(_read_text(path).split("\n"), start=1):
         if not row.strip():
             continue
         value = row.strip(" \t")  # the JSON whitespace a line can hold: it has no CR or LF
@@ -559,41 +563,24 @@ def split(dataset: Dataset, spec: SplitSpec) -> dict[str, Dataset]:
     largest-remainder rounding.  Stratified splits keep per-class
     proportions within one sample per class per part.
     """
-    order = _shuffled_indices(len(dataset), spec.seed)
+    order = np.array(_shuffled_indices(len(dataset), spec.seed), dtype=np.intp)
+    labels = dataset.labels[order]
+    # a plain split slices one group, a stratified one slices each class in label order
+    groups = [order[labels == c] for c in np.unique(labels)] if spec.stratified else [order]
     fractions = [f for _, f in spec.fractions]
-    names = [name for name, _ in spec.fractions]
-    part_indices: list[list[int]] = [[] for _ in names]
-
-    if spec.stratified:
-        labels = dataset.labels.tolist()
-        by_class: dict[int, list[int]] = {}
-        for idx in order:
-            by_class.setdefault(labels[idx], []).append(idx)
-        for label in sorted(by_class):
-            members = by_class[label]
-            sizes = largest_remainder_sizes(len(members), fractions)
-            cursor = 0
-            for part, size in enumerate(sizes):
-                part_indices[part].extend(members[cursor:cursor + size])
-                cursor += size
-    else:
-        sizes = largest_remainder_sizes(len(dataset), fractions)
-        cursor = 0
-        for part, size in enumerate(sizes):
-            part_indices[part] = order[cursor:cursor + size]
-            cursor += size
-
+    # order[:0] starts each part: a stratified split of 0 rows has no groups
+    pieces = [[order[:0]] for _ in fractions]
+    for group in groups:
+        cuts = np.cumsum(largest_remainder_sizes(len(group), fractions))[:-1]
+        for part, piece in zip(pieces, np.split(group, cuts)):
+            part.append(piece)
     parts: dict[str, Dataset] = {}
-    for name, indices in zip(names, part_indices):
-        if not indices:
+    for (name, _), part in zip(spec.fractions, pieces):
+        rows = np.concatenate(part)
+        if not len(rows):
             logger.warning("split part %r is empty", name)
-        rows = np.array(indices, dtype=np.intp)
-        parts[name] = Dataset(
-            dataset.universe,
-            tuple(dataset.ids[i] for i in indices),
-            dataset.labels[rows],
-            dataset.probs[rows],
-        )
+        ids = [dataset.ids[i] for i in rows.tolist()]
+        parts[name] = Dataset(dataset.universe, ids, dataset.labels[rows], dataset.probs[rows])
     return parts
 
 

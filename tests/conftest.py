@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conformal_gate import ClassUniverse, Dataset, PredictionSets
+from conformal_gate.core_types import ClassUniverse, Dataset
+from conformal_gate.predictor import PredictionSets
 
 
 def one_hot(k: int, index: int) -> tuple[float, ...]:

@@ -17,25 +17,30 @@ column checks replaced: ``json.loads`` and the checks once per line.
 calibration and curve export that the sorted score array replaced: the
 scores sorted into a tuple, the threshold picked from it, and the curve
 built from ``(rank, score)`` pairs.
+
+:func:`split_lists` is the split that one slicing loop over groups
+replaced: per-class Python lists for a stratified split, and a second loop
+over the shuffled order for a plain one.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from conformal_gate import (
-    ClassUniverse,
-    Dataset,
-    DimensionMismatchError,
+from conformal_gate.core_types import ClassUniverse, Dataset, DimensionMismatchError, Violation
+from conformal_gate.io import (
     ParseError,
-    PredictionSets,
+    SplitSpec,
     UnknownLabelError,
-    Violation,
+    _shuffled_indices,
+    largest_remainder_sizes,
 )
+from conformal_gate.predictor import PredictionSets
 
 ALL_INCLUSIVE = math.inf
 NOOP_TOL = 1e-9
@@ -177,10 +182,10 @@ def load_predictions_rows(path, k: int) -> PredictionSets:
     """Prediction JSONL decoded and checked one line at a time; errors name their line.
 
     As the loader was before its column checks, with ``members`` required to
-    be a JSON array and too-deep nesting reported as bad JSON.
+    be a JSON array, too-deep nesting reported as bad JSON, and lines split at LF.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+        lines = handle.read().split("\n")
     ids, rows, columns = [], [], []
     for offset, row in enumerate(lines, start=1):
         if not row.strip():
@@ -251,3 +256,43 @@ def curve_csv_tuple(result: TupleCalibration) -> str:
     lines.append("threshold," + ("inf" if result.threshold == ALL_INCLUSIVE
                                  else repr(result.threshold)))
     return "\n".join(lines) + "\n"
+
+
+def split_lists(dataset: Dataset, spec: SplitSpec) -> dict[str, Dataset]:
+    """The seeded split with Python index lists, sliced per class when stratified."""
+    order = _shuffled_indices(len(dataset), spec.seed)
+    fractions = [f for _, f in spec.fractions]
+    names = [name for name, _ in spec.fractions]
+    part_indices: list[list[int]] = [[] for _ in names]
+
+    if spec.stratified:
+        labels = dataset.labels.tolist()
+        by_class: dict[int, list[int]] = {}
+        for idx in order:
+            by_class.setdefault(labels[idx], []).append(idx)
+        for label in sorted(by_class):
+            members = by_class[label]
+            sizes = largest_remainder_sizes(len(members), fractions)
+            cursor = 0
+            for part, size in enumerate(sizes):
+                part_indices[part].extend(members[cursor:cursor + size])
+                cursor += size
+    else:
+        sizes = largest_remainder_sizes(len(dataset), fractions)
+        cursor = 0
+        for part, size in enumerate(sizes):
+            part_indices[part] = order[cursor:cursor + size]
+            cursor += size
+
+    parts: dict[str, Dataset] = {}
+    for name, indices in zip(names, part_indices):
+        if not indices:
+            logging.getLogger("conformal_gate.io").warning("split part %r is empty", name)
+        rows = np.array(indices, dtype=np.intp)
+        parts[name] = Dataset(
+            dataset.universe,
+            tuple(dataset.ids[i] for i in indices),
+            dataset.labels[rows],
+            dataset.probs[rows],
+        )
+    return parts

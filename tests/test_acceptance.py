@@ -15,19 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from conformal_gate import (
+from conformal_gate.calibration import (
     ALL_INCLUSIVE,
     Alpha,
     calibrate,
     calibrate_scores,
-    evaluate,
-    load_probabilities,
-    predict_batch,
     quantile_level,
-    write_dataset,
 )
 from conformal_gate.cli import main as cli_main
-from conformal_gate.io import report_csv_text
+from conformal_gate.io import load_probabilities, report_csv_text, write_dataset
+from conformal_gate.metrics import evaluate
+from conformal_gate.predictor import predict_batch
 from conformal_gate.synth import SyntheticSpec, coverage_trial, generate
 
 from test_calibration import brute_force_threshold

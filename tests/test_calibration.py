@@ -17,18 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate import (
+from conformal_gate.calibration import (
     ALL_INCLUSIVE,
     Alpha,
     CalibrationResult,
-    DataError,
-    EmptyCalibrationError,
     calibrate,
     calibrate_scores,
     export_calibration_curve,
     quantile_level,
 )
 from conformal_gate.cli import main
+from conformal_gate.core_types import DataError, EmptyCalibrationError
 
 from conftest import make_dataset, one_hot
 from row_oracle import calibrate_scores_tuple, curve_csv_tuple

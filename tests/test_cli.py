@@ -6,17 +6,11 @@ import json
 
 import pytest
 
-from conformal_gate import (
-    Alpha,
-    calibrate,
-    evaluate,
-    load_probabilities,
-    predict_batch,
-    write_dataset,
-)
+from conformal_gate.calibration import Alpha, calibrate
 from conformal_gate.cli import main
-from conformal_gate.io import load_predictions
-from conformal_gate.metrics import marginal_coverage
+from conformal_gate.io import load_predictions, load_probabilities, write_dataset
+from conformal_gate.metrics import evaluate, marginal_coverage
+from conformal_gate.predictor import predict_batch
 from conformal_gate.synth import SyntheticSpec, generate
 
 from conftest import one_hot
@@ -366,21 +360,31 @@ class TestSimulateCommand:
         assert len(calib) == 50
         assert len(test) == 60
 
-    def test_written_data_reproduces_the_last_trial(self, tmp_path):
+    # seeds whose three trials give three different coverages
+    @pytest.mark.parametrize("k, n_calib, n_test, alpha, seed", [
+        ("4", "40", "400", "0.2", "5"),
+        ("9", "300", "2000", "0.05", "8"),
+    ])
+    def test_written_data_reproduces_the_last_trial(self, tmp_path, k, n_calib, n_test, alpha,
+                                                    seed):
         out_dir = tmp_path / "data"
-        assert run("simulate", "--k", "4", "--n-calib", "40", "--n-test", "400",
-                   "--alpha", "0.2", "--seeds", "3", "--seed", "5",
+        assert run("simulate", "--k", k, "--n-calib", n_calib, "--n-test", n_test,
+                   "--alpha", alpha, "--seeds", "3", "--seed", seed,
                    "--out", str(tmp_path / "t.json"), "--write-data", str(out_dir)) == 0
         per_seed = json.loads((tmp_path / "t.json").read_text())["per_seed"]
         assert len(set(per_seed)) == 3
         artifact, sets = tmp_path / "a.json", tmp_path / "sets.jsonl"
-        assert run("calibrate", "--input", str(out_dir / "calibration.csv"), "--alpha", "0.2",
+        assert run("calibrate", "--input", str(out_dir / "calibration.csv"), "--alpha", alpha,
                    "--out", str(artifact)) == 0
         assert run("predict", "--calibration", str(artifact),
                    "--input", str(out_dir / "test.csv"), "--out", str(sets)) == 0
         test = load_probabilities(out_dir / "test.csv")
         coverage = marginal_coverage(load_predictions(sets, test.universe.k), test.labels)
         assert coverage == per_seed[-1]
+        report = tmp_path / "r.json"
+        assert run("evaluate", "--calibration", str(artifact), "--input", str(out_dir / "test.csv"),
+                   "--out-json", str(report), "--out-csv", str(tmp_path / "r.csv")) == 0
+        assert json.loads(report.read_text())["marginal_coverage"] == per_seed[-1]
 
 
 class TestDeterminism:

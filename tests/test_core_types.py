@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conformal_gate import (
+from conformal_gate.core_types import (
     ClassUniverse,
     DataError,
     DimensionMismatchError,
     InvalidDatasetError,
+    _fsum_rows,
     require_valid,
 )
-from conformal_gate.core_types import _fsum_rows
 
 from conftest import make_dataset, one_hot
 
@@ -142,15 +142,10 @@ class TestValidateDataset:
 class TestValidatedDataFlowsEverywhere:
     def test_accepted_datasets_never_raise_downstream(self, tmp_path):
         # empty validation report implies every operation succeeds
-        from conformal_gate import (
-            SplitSpec,
-            calibrate,
-            evaluate,
-            load_probabilities,
-            predict_batch,
-            split,
-            write_dataset,
-        )
+        from conformal_gate.calibration import calibrate
+        from conformal_gate.io import SplitSpec, load_probabilities, split, write_dataset
+        from conformal_gate.metrics import evaluate
+        from conformal_gate.predictor import predict_batch
         from conformal_gate.synth import SyntheticSpec, generate
 
         rng = np.random.default_rng(90)

@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate import ClassUniverse
+from conformal_gate.core_types import ClassUniverse
 from conformal_gate.io import _load_csv
 
 from row_oracle import load_csv_rows

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate import ClassUniverse, Dataset
+from conformal_gate.core_types import ClassUniverse, Dataset
 
 from row_oracle import LabeledExample, ProbVector, validate_examples
 

@@ -17,9 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate import ClassUniverse, Dataset, PredictionSets, evaluate
+from conformal_gate.core_types import ClassUniverse, Dataset
 from conformal_gate.io import report_json_text, write_predictions, write_report
-from conformal_gate.metrics import ConfusionMatrix
+from conformal_gate.metrics import ConfusionMatrix, evaluate
+from conformal_gate.predictor import PredictionSets
 
 DATA = Path(__file__).parent / "data"
 

@@ -10,29 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate import (
-    ClassUniverse,
-    DataError,
-    DimensionMismatchError,
+from conformal_gate.core_types import ClassUniverse, DataError, DimensionMismatchError
+from conformal_gate.io import (
     ParseError,
-    PredictionSets,
     SplitSpec,
     UnknownLabelError,
-    evaluate,
-    load_probabilities,
-    load_universe,
-    predict_batch,
-    split,
-    write_dataset,
-    write_report,
-)
-from conformal_gate.io import (
     largest_remainder_sizes,
     load_predictions,
+    load_probabilities,
+    load_universe,
     report_csv_text,
+    split,
     write_atomic,
+    write_dataset,
     write_predictions,
+    write_report,
 )
+from conformal_gate.metrics import evaluate
+from conformal_gate.predictor import PredictionSets, predict_batch
 from conformal_gate.synth import SyntheticSpec, generate
 
 from conftest import make_dataset, make_sets, one_hot
@@ -170,6 +165,32 @@ class TestLoadJsonl:
                         + record + "\n")
         with pytest.raises(ParseError, match=f"line 2: {problem}"):
             load_probabilities(path)
+
+
+class TestJsonLinesBreakAtLfOnly:
+    # legal unescaped inside a JSON string; str.splitlines breaks a line at each
+    IDS = ("a b", "c d", "e\x85f")
+
+    def write(self, path, records):
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                        encoding="utf-8")
+
+    def test_dataset_ids_with_unicode_line_separators_load_intact(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        self.write(path, [{"sample_id": i, "true_label": 0, "probs": [1.0, 0.0]}
+                          for i in self.IDS])
+        assert load_probabilities(path).ids == self.IDS
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("{oops\n")
+        with pytest.raises(ParseError, match="line 4"):
+            load_probabilities(path)
+
+    def test_prediction_ids_with_unicode_line_separators_load_intact(self, tmp_path):
+        path = tmp_path / "sets.jsonl"
+        self.write(path, [{"sample_id": i, "members": [1], "set_size": 1} for i in self.IDS])
+        loaded = load_predictions(path, 2)
+        assert loaded.ids == self.IDS
+        assert loaded.mask.tolist() == [[False, True]] * 3
 
 
 class TestPredictionJsonl:

@@ -7,24 +7,25 @@ import json
 import numpy as np
 import pytest
 
-from conformal_gate import (
-    ConfusionMatrix,
+from conformal_gate.core_types import (
     DataError,
     DimensionMismatchError,
     EmptyDatasetError,
-    EvaluationReport,
     InvalidDatasetError,
     LengthMismatchError,
-    PredictionSets,
+)
+from conformal_gate.io import report_json_text
+from conformal_gate.metrics import (
+    ConfusionMatrix,
+    EvaluationReport,
     avg_set_size,
     confusion_and_recall,
     evaluate,
     marginal_coverage,
-    predict_batch,
     strict_coverage,
     uncertain_histogram,
 )
-from conformal_gate.io import report_json_text
+from conformal_gate.predictor import PredictionSets, predict_batch
 from conformal_gate.synth import SyntheticSpec, generate
 
 from conftest import make_dataset, make_sets, one_hot

@@ -54,7 +54,8 @@ def prediction_files(draw):
             record["set_size"] = draw(st.sampled_from(BAD_SIZES + (len(set(members)) + 1,)))
         elif fault == "record":
             record = draw(st.sampled_from(BAD_RECORDS))
-        text = draw(st.sampled_from(BAD_LINES)) if fault == "line" else json.dumps(record)
+        text = (draw(st.sampled_from(BAD_LINES)) if fault == "line"
+                else json.dumps(record, ensure_ascii=draw(st.booleans())))
         lines.append(draw(st.sampled_from(["", " ", "\t", "  "])) + text
                      + draw(st.sampled_from(["", " ", "\t "])))
         if draw(st.integers(0, 4)) == 0:

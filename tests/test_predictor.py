@@ -7,17 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from conformal_gate import (
-    ALL_INCLUSIVE,
-    DataError,
-    DimensionMismatchError,
-    PredictionSet,
-    PredictionSets,
-    calibrate_scores,
-    confusion_and_recall,
-    predict_batch,
-)
+from conformal_gate.calibration import ALL_INCLUSIVE, calibrate_scores
+from conformal_gate.core_types import DataError, DimensionMismatchError
 from conformal_gate.io import write_predictions
+from conformal_gate.metrics import confusion_and_recall
+from conformal_gate.predictor import PredictionSet, PredictionSets, predict_batch
 
 from conftest import make_dataset, make_sets, one_hot
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conformal_gate import SplitSpec, split
-from conformal_gate.io import largest_remainder_sizes
+from conformal_gate.io import SplitSpec, largest_remainder_sizes, split
 from conformal_gate.rng import GOLDEN, MASK64, nth_output, output_block
 from conformal_gate.synth import SyntheticSpec, generate
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conformal_gate import calibrate
-from conformal_gate.calibration import nonconformity
+from conformal_gate.calibration import calibrate, nonconformity
 
 from conftest import make_dataset, one_hot
 

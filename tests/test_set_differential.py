@@ -13,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import set_oracle
-from conformal_gate import (
-    ClassUniverse,
-    Dataset,
-    PredictionSets,
+from conformal_gate.core_types import ClassUniverse, Dataset
+from conformal_gate.metrics import (
     avg_set_size,
     evaluate,
     marginal_coverage,
     strict_coverage,
     uncertain_histogram,
 )
+from conformal_gate.predictor import PredictionSets
 
 
 @st.composite

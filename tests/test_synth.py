@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from conformal_gate import DataError
+from conformal_gate.core_types import DataError
 from conformal_gate.synth import SyntheticSpec, coverage_trial, generate
 
 
@@ -109,3 +111,41 @@ class TestCoverageTrial:
         assert obj["n_seeds"] == 3
         assert len(obj["per_seed"]) == 3
         assert obj["alpha"] == 0.1
+
+
+def beta_binomial_pmf(trials: int, a: int, b: int) -> np.ndarray:
+    """P(C = c) for c = 0..trials when C ~ BetaBinomial(trials, a, b), from log-gamma."""
+
+    def log_beta(x: float, y: float) -> float:
+        return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+    return np.array([
+        math.exp(math.lgamma(trials + 1) - math.lgamma(c + 1) - math.lgamma(trials - c + 1)
+                 + log_beta(c + a, trials - c + b) - log_beta(a, b))
+        for c in range(trials + 1)
+    ])
+
+
+@pytest.mark.parametrize("base_seed", [0, 1, 2])
+def test_per_seed_coverage_follows_the_beta_binomial_law(base_seed):
+    # synth scores have no ties, so given the calibration set a test sample is
+    # covered with probability U_(r) ~ Beta(r, n + 1 - r), r = ceil((1 - alpha)(n + 1)):
+    # the covered count of each seed is BetaBinomial(n_test, r, n + 1 - r).
+    n, n_test, alpha, seeds = 50, 1000, 0.05, 400
+    r = math.ceil((1 - alpha) * (n + 1))
+    pmf = beta_binomial_pmf(n_test, r, n + 1 - r)
+    support = np.arange(n_test + 1) / n_test
+    mean = float(pmf @ support)
+    var = float(pmf @ (support - mean) ** 2)
+    mu4 = float(pmf @ (support - mean) ** 4)
+    assert mean == pytest.approx(r / (n + 1))
+
+    trial = coverage_trial(SyntheticSpec(k=9, seed=base_seed), n_calib=n, n_test=n_test,
+                           alpha=alpha, n_seeds=seeds)
+    coverage = np.asarray(trial.per_seed)
+    z_mean = (coverage.mean() - mean) / math.sqrt(var / seeds)
+    # the standard error of the unbiased sample variance of iid draws
+    var_se = math.sqrt(mu4 / seeds - var**2 * (seeds - 3) / (seeds * (seeds - 1)))
+    z_var = (coverage.var(ddof=1) - var) / var_se
+    assert abs(z_mean) < 4, z_mean
+    assert abs(z_var) < 4, z_var
