@@ -4,36 +4,46 @@ Calibrates a nonconformity threshold from held-out classifier
 probabilities, produces per-sample prediction sets at a target coverage
 level, and evaluates coverage, set size, recall, and confusion, with a
 built-in synthetic-data oracle for the coverage guarantee.
+
+The names below load with their submodule on first use, so importing the
+package (and the CLI's argument parser) does not import numpy.
 """
 
-from .calibration import (
-    Alpha,
-    CalibrationResult,
-    calibrate,
-    calibrate_scores,
-    export_calibration_curve,
-)
-from .core_types import ClassUniverse, DataError, Dataset
-from .io import SplitSpec, split, write_dataset
-from .metrics import evaluate
-from .predictor import PredictionSet, PredictionSets, predict_batch
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alpha",
-    "CalibrationResult",
-    "ClassUniverse",
-    "DataError",
-    "Dataset",
-    "PredictionSet",
-    "PredictionSets",
-    "SplitSpec",
-    "calibrate",
-    "calibrate_scores",
-    "evaluate",
-    "export_calibration_curve",
-    "predict_batch",
-    "split",
-    "write_dataset",
-]
+# Each public name and the submodule that defines it.
+_SOURCES = {
+    "Alpha": "calibration",
+    "CalibrationResult": "calibration",
+    "ClassUniverse": "core_types",
+    "DataError": "core_types",
+    "Dataset": "core_types",
+    "PredictionSet": "predictor",
+    "PredictionSets": "predictor",
+    "SplitSpec": "io",
+    "calibrate": "calibration",
+    "calibrate_scores": "calibration",
+    "evaluate": "metrics",
+    "export_calibration_curve": "calibration",
+    "predict_batch": "predictor",
+    "split": "io",
+    "write_dataset": "io",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{source}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,13 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import io as cgio
-from .calibration import ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve
-from .core_types import DataError
-from .metrics import evaluate
-from .predictor import predict_batch
-from .synth import SyntheticSpec, coverage_trial, trial_data
-
 logger = logging.getLogger("conformal_gate.cli")
 
 EXIT_OK = 0
@@ -225,9 +218,27 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _import_layers() -> None:
+    """Bind the layer names the commands use.
+
+    They load here, after argument parsing, so ``--help`` and usage errors
+    never import numpy.  They stay module globals, where the benchmark's
+    tracer finds and wraps them.
+    """
+    global cgio, ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve, DataError
+    global evaluate, predict_batch, SyntheticSpec, coverage_trial, trial_data
+    from . import io as cgio
+    from .calibration import ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve
+    from .core_types import DataError
+    from .metrics import evaluate
+    from .predictor import predict_batch
+    from .synth import SyntheticSpec, coverage_trial, trial_data
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
+    _import_layers()
     try:
         return _COMMANDS[args.command](args)
     except DataError as exc:

@@ -29,7 +29,6 @@ import logging
 import math
 import os
 import re
-import secrets
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -65,18 +64,21 @@ class UnknownLabelError(ParseError):
     """A true_label value is neither a valid index nor a known class name."""
 
 
-def _read_text(path: str | Path) -> str:
+def _read_text(path: str | Path, lf_lines: bool = False) -> str:
     """The UTF-8 text of an input file, line endings translated as text-mode ``open`` does.
 
     The one place that opens an input file to read text.  A byte that is not
-    UTF-8 is a ParseError citing its line, numbered as ``str.splitlines`` does.
+    UTF-8 is a ParseError citing its line, numbered as the caller splits the
+    text: at LF after that translation when ``lf_lines``, else as
+    ``str.splitlines`` does.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        before = data[:exc.start].decode("utf-8")
+        line = len(re.split("\r\n?|\n", before) if lf_lines else (before + "x").splitlines())
         raise ParseError(
             f"{path} is not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line=line
         ) from exc
@@ -85,7 +87,7 @@ def _read_text(path: str | Path) -> str:
 
 def read_json(path: str | Path, what: str) -> Any:
     """The JSON value in a file; invalid JSON is a ParseError naming ``what`` and the path."""
-    text = _read_text(path)
+    text = _read_text(path, lf_lines=True)  # json's own errors count lines at LF
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -101,7 +103,7 @@ def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
     Lines end at LF only: U+0085, U+2028 and U+2029 may stand unescaped in a
     JSON string, and ``str.splitlines`` would break the line there.
     """
-    for line, row in enumerate(_read_text(path).split("\n"), start=1):
+    for line, row in enumerate(_read_text(path, lf_lines=True).split("\n"), start=1):
         if not row.strip():
             continue
         value = row.strip(" \t")  # the JSON whitespace a line can hold: it has no CR or LF
@@ -124,7 +126,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     The file is synced to disk before the rename and its directory after it.
     """
     path = Path(path)
-    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from conformal_gate.core_types import ClassUniverse, Dataset
 from conformal_gate.predictor import PredictionSets
@@ -35,6 +36,23 @@ def make_sets(k: int, members, ids=None) -> PredictionSets:
     for row, columns in enumerate(members):
         mask[row, columns] = True
     return PredictionSets(("",) * len(members) if ids is None else ids, mask)
+
+
+def _normalized(rows) -> np.ndarray:
+    weights = np.array(rows, dtype=np.float64)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def probability_matrices(max_rows: int = 30, max_k: int = 6):
+    """Strategy: an [n, K] probability matrix, n >= 1 and K >= 2, from small integer weights.
+
+    Rows such as (1, 1, 2) / 4 make equal probabilities, and so equal
+    scores, common.
+    """
+    return st.integers(2, max_k).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any),
+        min_size=1, max_size=max_rows,
+    )).map(_normalized)
 
 
 @pytest.fixture

@@ -27,9 +27,9 @@ from conformal_gate.calibration import (
     quantile_level,
 )
 from conformal_gate.cli import main
-from conformal_gate.core_types import DataError, EmptyCalibrationError
+from conformal_gate.core_types import ClassUniverse, DataError, Dataset, EmptyCalibrationError
 
-from conftest import make_dataset, one_hot
+from conftest import make_dataset, one_hot, probability_matrices
 from row_oracle import calibrate_scores_tuple, curve_csv_tuple
 
 DATA = Path(__file__).parent / "data"
@@ -122,6 +122,20 @@ class TestCalibrate:
             result = calibrate(make_dataset(4, shuffled), 0.1)
             assert result == base
             assert result.sorted_scores.tobytes() == base.sorted_scores.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(probability_matrices(), st.floats(0.001, 0.999), st.data())
+    def test_any_permutation_gives_the_same_scores_bitwise(self, probs, alpha, data):
+        n, k = probs.shape
+        ids = np.array([f"s{i}" for i in range(n)])
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        order = data.draw(st.permutations(range(n)))
+        universe = ClassUniverse.generic(k)
+        base = calibrate(Dataset(universe, ids.tolist(), labels, probs), alpha)
+        moved = calibrate(Dataset(universe, ids[order].tolist(), labels[order], probs[order]),
+                          alpha)
+        assert moved.sorted_scores.tobytes() == base.sorted_scores.tobytes()
+        assert repr(moved.threshold) == repr(base.threshold)
 
     def test_dataset_path_equals_score_path(self):
         rng = np.random.default_rng(12)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate.core_types import ClassUniverse, DataError, DimensionMismatchError
+from conformal_gate.core_types import ClassUniverse, DataError, Dataset, DimensionMismatchError
 from conformal_gate.io import (
     ParseError,
     SplitSpec,
@@ -30,7 +30,11 @@ from conformal_gate.metrics import evaluate
 from conformal_gate.predictor import PredictionSets, predict_batch
 from conformal_gate.synth import SyntheticSpec, generate
 
-from conftest import make_dataset, make_sets, one_hot
+from conftest import make_dataset, make_sets, one_hot, probability_matrices
+
+# What a CSV id may not hold: the loader splits rows with str.splitlines and
+# fields at ",", with no quoting.
+CSV_UNSAFE = set(',"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029')
 
 
 class TestLoadCsv:
@@ -261,6 +265,20 @@ class TestRoundTrips:
         write_dataset(d, tmp_path / "d.jsonl")
         assert load_probabilities(tmp_path / "d.jsonl", universe=d.universe) == d
 
+    @settings(max_examples=100, deadline=None)
+    @given(probability_matrices(), st.booleans(), st.data())
+    def test_csv_safe_ids_round_trip_exactly(self, tmp_path_factory, probs, float32, data):
+        n, k = probs.shape
+        if float32:  # rows the mass policy renormalizes
+            probs = probs.astype(np.float32).astype(np.float64)
+        ids = data.draw(st.lists(st.text().filter(lambda s: CSV_UNSAFE.isdisjoint(s)),
+                                 min_size=n, max_size=n, unique=True))
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        d = Dataset(ClassUniverse.generic(k), ids, labels, probs)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dataset(d, path)
+        assert load_probabilities(path) == d
+
     def test_universe_round_trip(self, tmp_path):
         universe = ClassUniverse(("Steel Sheets", "Swarf Scrap", "Shredder"))
         path = tmp_path / "classes.json"
@@ -308,6 +326,37 @@ class TestNonUtf8Input:
         path.write_bytes(before + b"\xff\n")
         with pytest.raises(ParseError, match=f"^line {line}: .* is not UTF-8: byte 0xff"):
             load_probabilities(path)
+
+    @pytest.mark.parametrize("before, line", [
+        (b"", 1), (b"a\n", 2), (b"a\n\nb", 3), (b"a\r\nb\r\n", 3), (b"a\rb\r", 3),
+        ("a\u2028b\x85c\x0c".encode(), 1), ("a\u2029\n".encode(), 2),
+    ])
+    def test_json_lines_cite_the_lf_line_of_a_bad_byte(self, tmp_path, before, line):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(before + b"\xff\n")
+        pattern = f"^line {line}: .* is not UTF-8: byte 0xff"
+        with pytest.raises(ParseError, match=pattern):
+            load_probabilities(path)
+        with pytest.raises(ParseError, match=pattern):
+            load_predictions(path, 2)
+
+    @pytest.mark.parametrize("second", [b'{"sample_id": "\xff"}\n', b"{oops\n"])
+    def test_json_lines_bad_byte_and_bad_json_cite_the_same_line(self, tmp_path, second):
+        first = '{"sample_id": "a\u2028b", "true_label": 0, "probs": [1.0, 0.0]}\n'.encode()
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(first + second)
+        with pytest.raises(ParseError, match="^line 2: "):
+            load_probabilities(path)
+
+    @pytest.mark.parametrize("value, message", [
+        (b'"\xff"', "line 2: .* is not UTF-8"), (b"", "line 2 column"),
+    ])
+    def test_json_file_bad_byte_and_bad_json_cite_the_same_line(self, tmp_path, value, message):
+        path = tmp_path / "classes.json"
+        path.write_bytes('[{"index": 0, "name": "a\u2028b"},\n'.encode()
+                         + b' {"index": 1, "name": ' + value + b"}]\n")
+        with pytest.raises(ParseError, match=message):
+            load_universe(path)
 
     def test_truncated_sequence_at_the_end(self, tmp_path):
         path = tmp_path / "d.jsonl"

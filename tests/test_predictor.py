@@ -6,14 +6,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conformal_gate.calibration import ALL_INCLUSIVE, calibrate_scores
-from conformal_gate.core_types import DataError, DimensionMismatchError
+from conformal_gate.core_types import ClassUniverse, DataError, Dataset, DimensionMismatchError
 from conformal_gate.io import write_predictions
 from conformal_gate.metrics import confusion_and_recall
 from conformal_gate.predictor import PredictionSet, PredictionSets, predict_batch
 
-from conftest import make_dataset, make_sets, one_hot
+from conftest import make_dataset, make_sets, one_hot, probability_matrices
 
 
 def prediction_set(probs, threshold, sample_id: str = "") -> PredictionSet:
@@ -146,6 +147,24 @@ class TestMonotonicityAndDuality:
             raw = rng.random(9)
             probs = tuple(raw / raw.sum())
             assert prediction_set(probs, 8.0 / 9).set_size >= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(probability_matrices())
+    def test_sets_grow_with_tau_and_admit_scores_tied_at_it(self, probs):
+        n, k = probs.shape
+        dataset = Dataset(ClassUniverse.generic(k), [f"s{i}" for i in range(n)], [0] * n, probs)
+        scores = 1.0 - dataset.probs
+        previous = np.zeros(probs.shape, dtype=bool)
+        for tau in np.unique(scores).tolist():  # each tau ties at least one score
+            tied = scores == tau
+            mask = predict_batch(dataset, tau).mask
+            assert mask[tied].all()
+            assert not (previous & ~mask).any()
+            below = predict_batch(dataset, float(np.nextafter(tau, -np.inf))).mask
+            assert not below[tied].any()
+            assert not (below & ~mask).any()
+            previous = mask
+        assert predict_batch(dataset, ALL_INCLUSIVE).mask.all()
 
 
 class TestArgmax:
