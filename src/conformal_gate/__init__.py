@@ -5,8 +5,9 @@ probabilities, produces per-sample prediction sets at a target coverage
 level, and evaluates coverage, set size, recall, and confusion, with a
 built-in synthetic-data oracle for the coverage guarantee.
 
-The names below load with their submodule on first use, so importing the
-package (and the CLI's argument parser) does not import numpy.
+The names below, and the layer submodules themselves, load on first use,
+so importing the package (and the CLI's argument parser) does not import
+numpy.
 """
 
 from importlib import import_module
@@ -34,8 +35,13 @@ _SOURCES = {
 
 __all__ = list(_SOURCES)
 
+# Submodules that resolve as attributes, as ``conformal_gate.io`` does.
+_LAYERS = ("calibration", "core_types", "io", "metrics", "predictor", "rng", "synth")
+
 
 def __getattr__(name: str):
+    if name in _LAYERS:
+        return import_module(f".{name}", __name__)
     try:
         source = _SOURCES[name]
     except KeyError:
@@ -46,4 +52,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -162,9 +162,6 @@ def _print_summary(report) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    if not args.calibration and not args.predictions:
-        print("error: evaluate needs --calibration or --predictions", file=sys.stderr)
-        return EXIT_USAGE
     dataset = _load_input(args.input, args.classes)
     if args.predictions:
         sets = cgio.load_predictions(args.predictions, dataset.universe.k)
@@ -221,9 +218,9 @@ def _configure_logging() -> None:
 def _import_layers() -> None:
     """Bind the layer names the commands use.
 
-    They load here, after argument parsing, so ``--help`` and usage errors
-    never import numpy.  They stay module globals, where the benchmark's
-    tracer finds and wraps them.
+    They load here, after argument parsing and the usage checks, so
+    ``--help`` and usage errors never import numpy.  They stay module
+    globals, where the benchmark's tracer finds and wraps them.
     """
     global cgio, ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve, DataError
     global evaluate, predict_batch, SyntheticSpec, coverage_trial, trial_data
@@ -238,6 +235,9 @@ def _import_layers() -> None:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
+    if args.command == "evaluate" and not args.calibration and not args.predictions:
+        print("error: evaluate needs --calibration or --predictions", file=sys.stderr)
+        return EXIT_USAGE
     _import_layers()
     try:
         return _COMMANDS[args.command](args)

@@ -49,6 +49,16 @@ print(json.dumps([before, listed, star, missing]))
 """
 
 
+# Imports the package alone, then reaches a function through each layer
+# submodule as an attribute, as ``conformal_gate.io.write_curve``.
+LAYER_PROBE = """
+import json
+import conformal_gate
+assert callable(conformal_gate.io.write_curve)
+print(json.dumps([getattr(conformal_gate, m).__name__ for m in conformal_gate._LAYERS]))
+"""
+
+
 def run_probe(code: str, *argv: str) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -62,6 +72,7 @@ def run_probe(code: str, *argv: str) -> list:
     (["calibrate", "--help"], 0),
     (["calibrate"], 3),  # required flags missing
     (["no-such-command"], 3),
+    (["evaluate", "--input", "t.csv", "--out-json", "r.json", "--out-csv", "r.csv"], 3),
 ])
 def test_parser_path_loads_no_numpy_and_no_layer(argv, exit_code):
     code, loaded = run_probe(CLI_PROBE, *argv)
@@ -84,6 +95,11 @@ def test_package_names_load_on_first_use():
     assert listed
     assert star == sorted(conformal_gate.__all__)
     assert missing == "module 'conformal_gate' has no attribute 'no_such_name'"
+
+
+def test_layer_submodules_resolve_as_attributes():
+    loaded = run_probe(LAYER_PROBE)
+    assert loaded == [f"conformal_gate.{m}" for m in conformal_gate._LAYERS]
 
 
 @pytest.mark.parametrize("name", conformal_gate.__all__)
