@@ -4,12 +4,13 @@ Exit codes: 0 success, 1 I/O failure, 2 data/validation error, 3 usage
 error.  Every command is deterministic given its flags (all randomness is
 seeded explicitly), and output files are written atomically.  The
 ``CONFORMAL_GATE_LOG`` environment variable sets the log level (DEBUG,
-INFO, WARNING, ERROR; default WARNING).
+INFO, WARNING, ERROR; default WARNING, also for any other value).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -210,35 +211,49 @@ _COMMANDS = {
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("CONFORMAL_GATE_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = getattr(logging, os.environ.get("CONFORMAL_GATE_LOG", "WARNING").upper(), None)
+    if not isinstance(level, int):  # an unknown name, or a non-level such as BASIC_FORMAT
+        level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _import_layers() -> None:
-    """Bind the layer names the commands use.
+def _import_layers(command: str) -> None:
+    """Bind the layer names that ``command`` uses.
 
     They load here, after argument parsing and the usage checks, so
-    ``--help`` and usage errors never import numpy.  They stay module
-    globals, where the benchmark's tracer finds and wraps them.
+    ``--help`` and usage errors never import numpy, and a command imports
+    only the layers it runs.  They stay module globals, rebound on every
+    call, where the benchmark's tracer finds and wraps them.
     """
     global cgio, ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve, DataError
     global evaluate, predict_batch, SyntheticSpec, coverage_trial, trial_data
     from . import io as cgio
     from .calibration import ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve
     from .core_types import DataError
-    from .metrics import evaluate
-    from .predictor import predict_batch
-    from .synth import SyntheticSpec, coverage_trial, trial_data
+    if command in ("predict", "evaluate"):
+        from .predictor import predict_batch
+    if command == "evaluate":
+        from .metrics import evaluate
+    if command == "simulate":
+        from .synth import SyntheticSpec, coverage_trial, trial_data
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    With ``argv`` None, as the console script calls it, this call owns the
+    process: once the layers have loaded, the import-time heap is frozen,
+    so the collector traverses it neither during the command nor at exit.
+    A caller that passes ``argv`` keeps its collector as it was.
+    """
     _configure_logging()
     args = _build_parser().parse_args(argv)
     if args.command == "evaluate" and not args.calibration and not args.predictions:
         print("error: evaluate needs --calibration or --predictions", file=sys.stderr)
         return EXIT_USAGE
-    _import_layers()
+    _import_layers(args.command)
+    if argv is None:
+        gc.freeze()
     try:
         return _COMMANDS[args.command](args)
     except DataError as exc:

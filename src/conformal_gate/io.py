@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -44,9 +44,12 @@ from .core_types import (
     Dataset,
     DimensionMismatchError,
 )
-from .metrics import EvaluationReport
-from .predictor import PredictionSets
-from .rng import output_block
+
+# Annotations only: so that importing io loads no layer but core_types, the
+# functions that need predictor or rng at run time import them themselves.
+if TYPE_CHECKING:
+    from .metrics import EvaluationReport
+    from .predictor import PredictionSets
 
 logger = logging.getLogger("conformal_gate.io")
 
@@ -449,6 +452,8 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
     [0, k) (bools included), or a ``set_size`` other than the count of
     distinct members, is a ParseError with its line.
     """
+    from .predictor import PredictionSets
+
     records: list[tuple[int, Any]] = []
     try:
         for record in _json_lines(path):
@@ -551,6 +556,8 @@ def _shuffled_indices(n: int, seed: int) -> list[int]:
 
     The product is taken on Python ints: in uint64 it overflows once i + 1 > 2048.
     """
+    from .rng import output_block
+
     indices = list(range(n))
     for i, r in zip(range(n - 1, 0, -1), output_block(seed, n - 1).tolist()):
         j = ((r >> 11) * (i + 1)) >> 53
