@@ -5,12 +5,15 @@ the finite-sample-corrected quantile level is
 
     qlevel = (1 - alpha) * (n + 1) / n
 
-and the threshold tau is the score at 1-based rank ceil(qlevel * n), so at
-least that many calibration scores are <= tau.  When qlevel exceeds 1 (small
-n) no finite quantile exists and the threshold becomes all-inclusive: every
-class enters every prediction set.  The all-inclusive sentinel is
-represented as ``math.inf`` so that comparisons against it behave like the
-conformal convention (quantile of level > 1 is +infinity).
+and the threshold tau is the score at 1-based rank ceil((1 - alpha)(n + 1)),
+so at least that many calibration scores are <= tau.  The rank is computed
+exactly, with alpha read as the decimal its ``repr`` prints; the float
+product ``qlevel * n`` can land just above an integer and give one rank too
+many.  When the rank exceeds n (qlevel > 1, small n) no finite quantile
+exists and the threshold becomes all-inclusive: every class enters every
+prediction set.  The all-inclusive sentinel is represented as ``math.inf``
+so that comparisons against it behave like the conformal convention
+(quantile of level > 1 is +infinity).
 """
 
 from __future__ import annotations
@@ -56,6 +59,15 @@ def quantile_level(n: int, alpha: float | Alpha) -> float:
     return (1.0 - _alpha_value(alpha)) * (n + 1) / n
 
 
+def _conformal_rank(n: int, alpha: float) -> int:
+    """ceil((1 - alpha)(n + 1)) computed exactly, alpha being the decimal its ``repr`` prints."""
+    mantissa, _, exponent = repr(alpha).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    scale = 10 ** (len(fraction) - int(exponent or 0))  # alpha = digits / scale
+    digits = int(whole + fraction)
+    return -((digits - scale) * (n + 1) // scale)  # a ceiling by floor division
+
+
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
     """Calibration's outcome: alpha and the ascending calibration scores.
@@ -95,9 +107,9 @@ class CalibrationResult:
         return quantile_level(self.n, self.alpha)
 
     def threshold_rank(self) -> int | None:
-        """1-based rank of the threshold score, or None when all-inclusive."""
-        qlevel = self.qlevel
-        return None if qlevel > 1.0 else math.ceil(qlevel * self.n)
+        """The threshold's 1-based rank ceil((1 - alpha)(n + 1)), or None when all-inclusive."""
+        rank = _conformal_rank(self.n, self.alpha)
+        return None if rank > self.n else rank
 
     @property
     def threshold(self) -> float:

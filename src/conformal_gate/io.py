@@ -383,17 +383,22 @@ def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
 
 
 # The loader splits the file with str.splitlines and each row on ",", with
-# no quoting, so an id may hold no comma, quote or line-breaking character.
+# no quoting, so a cell (an id, or a class name in the report CSV) may hold
+# no comma, quote or line-breaking character.
 _CSV_UNSAFE_ID = re.compile('[,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]')
 
 
-def dataset_csv_text(dataset: Dataset) -> str:
-    for sample_id in dataset.ids:
-        if _CSV_UNSAFE_ID.search(sample_id):
+def _require_csv_safe(cells, what: str) -> None:
+    for cell in cells:
+        if _CSV_UNSAFE_ID.search(cell):
             raise DataError(
-                f"sample_id {sample_id!r} cannot be written to CSV:"
+                f"{what} {cell!r} cannot be written to CSV:"
                 " it contains a comma, a double quote or a line break"
             )
+
+
+def dataset_csv_text(dataset: Dataset) -> str:
+    _require_csv_safe(dataset.ids, "sample_id")
     header = "sample_id,true_label," + ",".join(
         f"p_{i}" for i in range(dataset.universe.k)
     )
@@ -613,8 +618,10 @@ def report_rows(report: EvaluationReport) -> list[list[str]]:
 def report_csv_text(report: EvaluationReport) -> str:
     """Per-class metric table: class rows, then an overall row.
 
-    The overall row's recall column carries the accuracy.
+    The overall row's recall column carries the accuracy.  A class name
+    that holds a comma, a double quote or a line break is a DataError.
     """
+    _require_csv_safe(report.class_names, "class name")
     lines = ["class,recall,avg_set_size,strict_coverage", *map(",".join, report_rows(report))]
     return "\n".join(lines) + "\n"
 
@@ -637,9 +644,10 @@ def report_json_text(report: EvaluationReport) -> str:
 
 
 def write_report(report: EvaluationReport, json_path: str | Path, csv_path: str | Path) -> None:
-    """Write the report JSON and the per-class report CSV."""
-    write_atomic(json_path, report_json_text(report))
-    write_atomic(csv_path, report_csv_text(report))
+    """Write the report JSON and the per-class report CSV, or neither when one cannot be rendered."""
+    json_text, csv_text = report_json_text(report), report_csv_text(report)
+    write_atomic(json_path, json_text)
+    write_atomic(csv_path, csv_text)
 
 
 def write_curve(text: str, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Evaluation battery for prediction sets and argmax point predictions.
+"""Evaluation of prediction sets and argmax point predictions.
 
 Two coverage notions are computed side by side and must not be conflated:
 
@@ -7,12 +7,15 @@ Two coverage notions are computed side by side and must not be conflated:
 * marginal coverage  - the true label is in the set regardless of size.
   This is the quantity the calibration guarantee bounds from below.
 
-Strict coverage <= marginal coverage on every input.  Every metric is an
-array expression over the sets' membership mask [n, K] and the labels:
-``covered = mask[arange(n), labels]``, and per-class totals come from
-``np.bincount(labels, ...)``.  Counts are exact integers divided once at
-the end.  Classes absent from the evaluated data report None (not 0) for
-their per-class metrics.
+Strict coverage <= marginal coverage on every input.  :func:`evaluate`
+checks its inputs once and computes the set metrics in one pass over the
+sets' membership mask [n, K] and the labels: one vector of correct
+singletons from ``mask[arange(n), labels]``, one ``np.bincount(labels)``
+of per-class totals and one ``np.bincount`` of set sizes.  The marginal
+rate comes from :func:`marginal_coverage`, and the confusion matrix,
+recall and accuracy from :func:`confusion_and_recall`.  Counts are exact
+integers divided once at the end.  Classes absent from the evaluated data
+report None (not 0) for their per-class metrics.
 """
 
 from __future__ import annotations
@@ -37,88 +40,28 @@ PerClass = tuple[float | None, ...]
 def _aligned_labels(sets: PredictionSets, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if len(sets) != len(labels):
-        raise LengthMismatchError(
-            f"{len(sets)} prediction sets vs {len(labels)} labels"
-        )
+        raise LengthMismatchError(f"{len(sets)} prediction sets vs {len(labels)} labels")
     if len(sets) == 0:
         raise EmptyDatasetError("no samples to evaluate")
     return labels
 
 
-def _covered(sets: PredictionSets, labels: np.ndarray) -> np.ndarray:
-    return sets.mask[np.arange(len(labels)), labels]
-
-
 def _per_class(sums: np.ndarray, totals: np.ndarray) -> PerClass:
-    return tuple(
-        (s / t) if t > 0 else None for s, t in zip(sums.tolist(), totals.tolist())
-    )
-
-
-def strict_coverage(
-    sets: PredictionSets, labels, n_classes: int
-) -> tuple[PerClass, float]:
-    """Fraction of samples whose prediction set is a correct singleton.
-
-    Returns (per-class rates over true-class subsets, overall rate).
-    """
-    labels = _aligned_labels(sets, labels)
-    hit = _covered(sets, labels) & (sets.sizes == 1)
-    hits = np.bincount(labels[hit], minlength=n_classes)
-    totals = np.bincount(labels, minlength=n_classes)
-    return _per_class(hits, totals), int(hit.sum()) / len(labels)
+    return tuple((s / t) if t > 0 else None for s, t in zip(sums.tolist(), totals.tolist()))
 
 
 def marginal_coverage(sets: PredictionSets, labels) -> float:
     """Fraction of samples whose prediction set contains the true label."""
     labels = _aligned_labels(sets, labels)
-    return int(_covered(sets, labels).sum()) / len(labels)
+    return int(sets.mask[np.arange(len(labels)), labels].sum()) / len(labels)
 
 
-def avg_set_size(
-    sets: PredictionSets, labels, n_classes: int
-) -> tuple[PerClass, float]:
-    """Arithmetic mean of prediction-set sizes, per true class and overall."""
-    labels = _aligned_labels(sets, labels)
-    size_sums = np.bincount(labels, weights=sets.sizes, minlength=n_classes)
-    totals = np.bincount(labels, minlength=n_classes)
-    return _per_class(size_sums, totals), int(sets.sizes.sum()) / len(labels)
-
-
-def uncertain_histogram(sets: PredictionSets) -> tuple[dict[int, int], int]:
-    """Counts per set size, ascending, and the count of sizes other than 1."""
-    counts = np.bincount(sets.sizes).tolist()
-    by_size = {size: c for size, c in enumerate(counts) if c}
-    return by_size, len(sets) - by_size.get(1, 0)
-
-
-@dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
-    """K x K counts; rows are true classes, columns argmax-predicted classes.
-
-    ``counts`` is a read-only int64 array.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConfusionMatrix):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
-
-
-def confusion_and_recall(
-    data: Dataset,
-) -> tuple[ConfusionMatrix, PerClass, float]:
+def confusion_and_recall(data: Dataset) -> tuple[np.ndarray, PerClass, float]:
     """Argmax point predictions: confusion matrix, per-class recall, accuracy.
 
-    recall_i = counts[i][i] / row_sum_i (None when class i has no samples);
-    accuracy = trace / total.
+    The matrix is a read-only int64 K x K array; rows are true classes,
+    columns argmax-predicted classes.  recall_i = counts[i, i] / row_sum_i
+    (None when class i has no samples); accuracy = trace / total.
     """
     if len(data) == 0:
         raise EmptyDatasetError("cannot evaluate an empty dataset")
@@ -126,12 +69,13 @@ def confusion_and_recall(
     k = data.universe.k
     predicted = np.argmax(data.probability_matrix(), axis=1)
     counts = np.bincount(data.labels * k + predicted, minlength=k * k).reshape(k, k)
+    counts.flags.writeable = False
     diagonal = counts.diagonal()
     recalls = _per_class(diagonal, counts.sum(axis=1))
-    return ConfusionMatrix(counts), recalls, int(diagonal.sum()) / len(data)
+    return counts, recalls, int(diagonal.sum()) / len(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Everything one evaluation run reports, with a stable JSON schema."""
 
@@ -146,7 +90,7 @@ class EvaluationReport:
     per_class_avg_set_size: PerClass
     uncertain_counts: dict[int, int]
     uncertain_total: int
-    confusion: ConfusionMatrix
+    confusion: np.ndarray
 
     def __post_init__(self):
         for name in ("accuracy", "overall_strict_coverage", "marginal_coverage"):
@@ -155,6 +99,9 @@ class EvaluationReport:
                 raise DataError(f"{name} {rate!r} outside [0, 1]")
         if self.overall_strict_coverage > self.marginal_coverage:
             raise DataError("strict coverage cannot exceed marginal coverage")
+        confusion = np.array(self.confusion, dtype=np.int64)
+        confusion.flags.writeable = False
+        object.__setattr__(self, "confusion", confusion)
 
     def to_json_obj(self) -> dict:
         return {
@@ -169,7 +116,7 @@ class EvaluationReport:
             "per_class_avg_set_size": list(self.per_class_avg_set_size),
             "uncertain_counts": {str(size): c for size, c in sorted(self.uncertain_counts.items())},
             "uncertain_total": self.uncertain_total,
-            "confusion_matrix": self.confusion.counts.tolist(),
+            "confusion_matrix": self.confusion.tolist(),
         }
 
 
@@ -177,7 +124,9 @@ def evaluate(test: Dataset, sets: PredictionSets) -> EvaluationReport:
     """Full evaluation of prediction sets against a labeled test dataset.
 
     Sets are aligned with the dataset by position; when a set carries a
-    sample_id it must match the example at its position.
+    sample_id it must match the example at its position.  The checks run in
+    this order: the dataset is valid, the lengths match, there are samples,
+    the class counts match, the ids align.
     """
     require_valid(test)
     labels = _aligned_labels(sets, test.labels)
@@ -192,22 +141,24 @@ def evaluate(test: Dataset, sets: PredictionSets) -> EvaluationReport:
                 raise DataError(
                     f"prediction for {given!r} does not align with sample {expected!r}"
                 )
-    per_strict, overall_strict = strict_coverage(sets, labels, k)
-    marginal = marginal_coverage(sets, labels)
-    per_size, overall_size = avg_set_size(sets, labels, k)
-    by_size, uncertain = uncertain_histogram(sets)
+    n = len(labels)
+    hit = sets.mask[np.arange(n), labels] & (sets.sizes == 1)
+    totals = np.bincount(labels, minlength=k)
+    by_size = {size: c for size, c in enumerate(np.bincount(sets.sizes).tolist()) if c}
     matrix, recalls, accuracy = confusion_and_recall(test)
     return EvaluationReport(
         class_names=test.universe.names,
-        n_test=len(test),
+        n_test=n,
         accuracy=accuracy,
         per_class_recall=recalls,
-        overall_strict_coverage=overall_strict,
-        per_class_strict_coverage=per_strict,
-        marginal_coverage=marginal,
-        overall_avg_set_size=overall_size,
-        per_class_avg_set_size=per_size,
+        overall_strict_coverage=int(hit.sum()) / n,
+        per_class_strict_coverage=_per_class(np.bincount(labels[hit], minlength=k), totals),
+        marginal_coverage=marginal_coverage(sets, labels),
+        overall_avg_set_size=int(sets.sizes.sum()) / n,
+        per_class_avg_set_size=_per_class(
+            np.bincount(labels, weights=sets.sizes, minlength=k), totals
+        ),
         uncertain_counts=by_size,
-        uncertain_total=uncertain,
+        uncertain_total=n - by_size.get(1, 0),
         confusion=matrix,
     )

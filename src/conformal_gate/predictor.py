@@ -14,12 +14,13 @@ when a caller indexes or iterates :class:`PredictionSets`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import CalibrationResult, nonconformity
-from .core_types import Dataset, LengthMismatchError, require_valid
+from .core_types import DataError, Dataset, LengthMismatchError, require_valid
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,9 @@ class PredictionSets:
 
 
 def predict_batch(test: Dataset, result: CalibrationResult | float) -> PredictionSets:
-    """The prediction sets of the test examples, in input order."""
+    """The prediction sets of the test examples, in input order.  A NaN threshold is a DataError."""
     require_valid(test)
     threshold = result.threshold if isinstance(result, CalibrationResult) else float(result)
+    if math.isnan(threshold):
+        raise DataError("the threshold is NaN; no class can be compared with it")
     return PredictionSets(test.ids, nonconformity(test.probability_matrix()) <= threshold)

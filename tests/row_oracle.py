@@ -15,8 +15,9 @@ column checks replaced: ``json.loads`` and the checks once per line.
 
 :func:`calibrate_scores_tuple` and :func:`curve_csv_tuple` are the
 calibration and curve export that the sorted score array replaced: the
-scores sorted into a tuple, the threshold picked from it, and the curve
-built from ``(rank, score)`` pairs.
+scores sorted into a tuple, the threshold picked from it at the rank
+:func:`exact_rank` gives in rational arithmetic, and the curve built from
+``(rank, score)`` pairs.
 
 :func:`split_lists` is the split that one slicing loop over groups
 replaced: per-class Python lists for a stratified split, and a second loop
@@ -29,6 +30,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -233,18 +235,21 @@ class TupleCalibration:
     def threshold_rank(self) -> int | None:
         if self.threshold == ALL_INCLUSIVE:
             return None
-        return math.ceil(self.qlevel * self.n)
+        return exact_rank(self.n, self.alpha)
+
+
+def exact_rank(n: int, alpha: float) -> int:
+    """ceil((1 - alpha)(n + 1)) in rational arithmetic, alpha being the decimal ``repr`` prints."""
+    return math.ceil((1 - Fraction(repr(alpha))) * (n + 1))
 
 
 def calibrate_scores_tuple(scores, alpha: float) -> TupleCalibration:
-    """Sort the scores into a tuple and take the one at rank ceil(qlevel * n)."""
+    """Sort the scores into a tuple and take the one at rank ceil((1 - alpha)(n + 1))."""
     n = len(scores)
     ordered = tuple(sorted(float(s) for s in scores))
     qlevel = (1.0 - alpha) * (n + 1) / n
-    if qlevel > 1.0:
-        threshold = ALL_INCLUSIVE
-    else:
-        threshold = ordered[math.ceil(qlevel * n) - 1]
+    rank = exact_rank(n, alpha)
+    threshold = ALL_INCLUSIVE if rank > n else ordered[rank - 1]
     return TupleCalibration(alpha, n, qlevel, ordered, threshold)
 
 

@@ -135,7 +135,7 @@ def test_criterion_4_metric_identities():
             )
             ok = ok and report.overall_avg_set_size == total_size / report.n_test
             class_counts = tuple(int((test.labels == c).sum()) for c in range(7))
-            counts = report.confusion.counts
+            counts = report.confusion
             ok = ok and tuple(counts.sum(axis=1).tolist()) == class_counts
             ok = ok and report.accuracy == int(np.trace(counts)) / int(counts.sum())
     _report("criterion 4: metric identities", ok, f"{runs} synthetic runs")

@@ -2,7 +2,8 @@
 
 The brute-force oracle used throughout is independent of the sort-and-index
 implementation: it scans every candidate score and picks the smallest one
-covering at least ceil(qlevel * n) of the calibration scores.
+covering at least ceil((1 - alpha)(n + 1)) of the calibration scores, the
+rank computed in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from conformal_gate.calibration import (
     ALL_INCLUSIVE,
     Alpha,
     CalibrationResult,
+    _conformal_rank,
     calibrate,
     calibrate_scores,
     export_calibration_curve,
@@ -30,30 +33,29 @@ from conformal_gate.cli import main
 from conformal_gate.core_types import ClassUniverse, DataError, Dataset, EmptyCalibrationError
 
 from conftest import make_dataset, one_hot, probability_matrices
-from row_oracle import calibrate_scores_tuple, curve_csv_tuple
+from row_oracle import calibrate_scores_tuple, curve_csv_tuple, exact_rank
 
 DATA = Path(__file__).parent / "data"
 
 
 def brute_force_threshold(scores, alpha: float) -> float:
-    """Smallest score covering at least ceil(qlevel * n) of the multiset.
+    """Smallest score covering at least ceil((1 - alpha)(n + 1)) of the multiset.
 
     Counts the mass under every candidate score directly (no rank
     indexing), so it checks the implementation's quantile selection by an
     independent route.
     """
     n = len(scores)
-    qlevel = (1.0 - alpha) * (n + 1) / n
-    if qlevel > 1.0:
+    needed = exact_rank(n, alpha)
+    if needed > n:
         return ALL_INCLUSIVE
-    needed = math.ceil(qlevel * n)
     values = np.asarray(scores, dtype=np.float64)
     candidates = np.sort(values)
     counts = (values[None, :] <= candidates[:, None]).sum(axis=1)
     for candidate, count in zip(candidates, counts):
         if count >= needed:
             return float(candidate)
-    raise AssertionError("unreachable: qlevel <= 1 always has a candidate")
+    raise AssertionError("unreachable: a rank <= n always has a candidate")
 
 
 class TestQuantileLevel:
@@ -92,7 +94,7 @@ class TestCalibrate:
 
     def test_staircase_of_99_scores(self):
         # true-class probabilities 1 - s give scores s = 0.01 ... 0.99;
-        # rank ceil(qlevel * 99) = 95 picks the score 0.95
+        # rank ceil(0.95 * 100) = 95 picks the score 0.95
         scores = [(i + 1) / 100 for i in range(99)]
         result = calibrate_scores(scores, 0.05)
         assert result.threshold == 0.95
@@ -184,7 +186,49 @@ class TestOracleEquivalence:
             result = calibrate_scores(scores, 0.05)
             if not result.is_all_inclusive:
                 covered = sum(1 for s in scores if s <= result.threshold)
-                assert covered >= math.ceil(result.qlevel * result.n)
+                assert covered >= exact_rank(result.n, 0.05)
+
+
+class TestThresholdRank:
+    """The rank ceil((1 - alpha)(n + 1)): Angelopoulos & Bates (arXiv 2107.07511)
+    take the ceil((n + 1)(1 - alpha)) / n quantile of the n calibration scores."""
+
+    @pytest.mark.parametrize("alpha, n, rank", [
+        (0.25, 79, 60),  # the float qlevel * n gives 61
+        (0.2, 304, 244),  # the float qlevel * n gives 245
+        (0.3, 9, 7),  # 0.3 in binary, just under 3/10, would give 8
+        (0.05, 6000, 5701),
+        (0.05, 250, 239),
+        (0.05, 200, 191),
+        (0.05, 19, 19),
+        (0.05, 18, None),
+        (1e-05, 99999, 99999),
+        (1e-05, 99998, None),
+    ])
+    def test_worked_ranks(self, alpha, n, rank):
+        result = CalibrationResult(alpha, np.arange(n, dtype=np.float64))
+        assert result.threshold_rank() == rank
+        assert result.is_all_inclusive == (rank is None)
+        assert result.threshold == (ALL_INCLUSIVE if rank is None else rank - 1.0)
+
+    def test_percent_grid_equals_rational_arithmetic(self):
+        # alpha = 0.01 ... 0.99 and n <= 3000: the float product qlevel * n
+        # rounds to one rank too many at 2,128 of the 297,000 points, each
+        # one where (1 - alpha)(n + 1) is an integer
+        float_rank_too_high = 0
+        for percent in range(1, 100):
+            alpha = percent / 100
+            covered, scale = (1 - Fraction(percent, 100)).as_integer_ratio()
+            for n in range(1, 3001):
+                rank = _conformal_rank(n, alpha)
+                assert rank == -(-covered * (n + 1) // scale)
+                qlevel = (1.0 - alpha) * (n + 1) / n
+                assert (rank > n) == (qlevel > 1.0)
+                if rank <= n and math.ceil(qlevel * n) != rank:
+                    assert math.ceil(qlevel * n) == rank + 1
+                    assert covered * (n + 1) % scale == 0
+                    float_rank_too_high += 1
+        assert float_rank_too_high == 2128
 
 
 class TestCalibrationResultInvariants:

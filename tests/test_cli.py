@@ -217,6 +217,23 @@ class TestEvaluateCommand:
         assert report["overall_strict_coverage"] <= report["marginal_coverage"]
         assert "marginal_coverage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["Steel, sheets", 'E3 "shred"', "E3\nshred", "E3\r\nshred",
+                                      "E3\u2028shred"])
+    def test_class_name_the_report_csv_cannot_hold_exits_2(self, tmp_path, capsys, name):
+        data = one_hot_csv(tmp_path, n=30)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps([{"index": i, "name": n}
+                                       for i, n in enumerate(["E1", name, "E8"])]))
+        artifact = tmp_path / "a.json"
+        assert run("calibrate", "--input", str(data), "--classes", str(classes),
+                   "--out", str(artifact)) == 0
+        out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run("evaluate", "--calibration", str(artifact), "--input", str(data),
+                   "--classes", str(classes),
+                   "--out-json", str(out_json), "--out-csv", str(out_csv)) == 2
+        assert f"class name {name!r} cannot be written to CSV" in capsys.readouterr().err
+        assert not out_json.exists() and not out_csv.exists()
+
     def test_mismatched_prediction_count_exits_2(self, tmp_path):
         calib = one_hot_csv(tmp_path)
         predictions = tmp_path / "pred.jsonl"

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conformal_gate.core_types import ClassUniverse, Dataset
 from conformal_gate.io import report_json_text, write_predictions, write_report
-from conformal_gate.metrics import ConfusionMatrix, evaluate
+from conformal_gate.metrics import evaluate
 from conformal_gate.predictor import PredictionSets
 
 DATA = Path(__file__).parent / "data"
@@ -81,7 +81,7 @@ def test_report_json_equals_json_dumps_for_any_matrix_shape(rows, columns, data)
     counts = data.draw(st.lists(st.integers(0, 10**12), min_size=rows * columns,
                                 max_size=rows * columns))
     report = replace(golden_report(),
-                     confusion=ConfusionMatrix(np.array(counts).reshape(rows, columns)))
+                     confusion=np.array(counts, dtype=np.int64).reshape(rows, columns))
     assert report_json_text(report) == json.dumps(report.to_json_obj(), indent=2) + "\n"
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from conformal_gate.core_types import (
     DataError,
+    Dataset,
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidDatasetError,
@@ -16,14 +17,10 @@ from conformal_gate.core_types import (
 )
 from conformal_gate.io import report_json_text
 from conformal_gate.metrics import (
-    ConfusionMatrix,
     EvaluationReport,
-    avg_set_size,
     confusion_and_recall,
     evaluate,
     marginal_coverage,
-    strict_coverage,
-    uncertain_histogram,
 )
 from conformal_gate.predictor import PredictionSets, predict_batch
 from conformal_gate.synth import SyntheticSpec, generate
@@ -37,29 +34,43 @@ FOUR_SETS = make_sets(3, [{1}, {0}, {1, 2}, set()])
 FOUR_LABELS = [1, 1, 1, 1]
 
 
+def report_of(sets: PredictionSets, labels) -> EvaluationReport:
+    """evaluate() of the sets against one one-hot row per label."""
+    k = sets.mask.shape[1]
+    return evaluate(make_dataset(k, [(f"s{i}", label, one_hot(k, label))
+                                     for i, label in enumerate(labels)]), sets)
+
+
+def dataset_with_confusion(counts) -> Dataset:
+    """A dataset whose argmax confusion matrix is ``counts``."""
+    k = len(counts)
+    return make_dataset(k, [(f"s{true}-{guess}-{j}", true, one_hot(k, guess))
+                            for true, row in enumerate(counts)
+                            for guess, count in enumerate(row) for j in range(count)])
+
+
 class TestStrictCoverage:
     def test_all_correct_singletons(self):
-        sets = make_sets(2, [{0}] * 10)
-        per_class, overall = strict_coverage(sets, [0] * 10, 2)
-        assert overall == 1.0
-        assert per_class == (1.0, None)
+        report = report_of(make_sets(2, [{0}] * 10), [0] * 10)
+        assert report.overall_strict_coverage == 1.0
+        assert report.per_class_strict_coverage == (1.0, None)
 
     def test_correct_pair_counts_as_uncertain_not_covered(self):
-        sets = make_sets(2, [{0}] * 9 + [{0, 1}])
-        _, overall = strict_coverage(sets, [0] * 10, 2)
-        assert overall == pytest.approx(0.9)
+        report = report_of(make_sets(2, [{0}] * 9 + [{0, 1}]), [0] * 10)
+        assert report.overall_strict_coverage == pytest.approx(0.9)
 
     def test_hand_enumerated_four_sample_case(self):
-        _, overall = strict_coverage(FOUR_SETS, FOUR_LABELS, 3)
-        assert overall == 0.25
+        report = report_of(FOUR_SETS, FOUR_LABELS)
+        assert report.overall_strict_coverage == 0.25
+        assert report.per_class_strict_coverage == (None, 0.25, None)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            strict_coverage(make_sets(2, [{0}]), [0, 1], 2)
+            report_of(make_sets(2, [{0}]), [0, 1])
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            strict_coverage(make_sets(2, []), [], 2)
+            report_of(make_sets(2, []), [])
 
 
 class TestMarginalCoverage:
@@ -73,6 +84,7 @@ class TestMarginalCoverage:
 
     def test_hand_enumerated_four_sample_case(self):
         assert marginal_coverage(FOUR_SETS, FOUR_LABELS) == 0.5
+        assert report_of(FOUR_SETS, FOUR_LABELS).marginal_coverage == 0.5
 
     def test_never_below_strict_coverage(self):
         rng = np.random.default_rng(31)
@@ -84,67 +96,63 @@ class TestMarginalCoverage:
                 rng.choice(k, size=rng.integers(0, k + 1), replace=False).tolist()
                 for _ in range(n)
             ])
-            _, strict = strict_coverage(sets, labels, k)
-            assert strict <= marginal_coverage(sets, labels)
+            report = report_of(sets, labels)
+            assert report.marginal_coverage == marginal_coverage(sets, labels)
+            assert report.overall_strict_coverage <= report.marginal_coverage
 
 
 class TestAvgSetSize:
     def test_mixed_sizes_average_to_one(self):
-        sets = make_sets(2, [{0}, {1}, {0, 1}, set()])
-        _, overall = avg_set_size(sets, [0, 0, 0, 0], 2)
-        assert overall == 1.0
+        report = report_of(make_sets(2, [{0}, {1}, {0, 1}, set()]), [0, 0, 0, 0])
+        assert report.overall_avg_set_size == 1.0
 
     def test_all_singletons_per_class(self):
-        sets = make_sets(2, [{0}, {1}, {0}])
-        per_class, overall = avg_set_size(sets, [0, 1, 0], 2)
-        assert per_class == (1.0, 1.0)
-        assert overall == 1.0
+        report = report_of(make_sets(2, [{0}, {1}, {0}]), [0, 1, 0])
+        assert report.per_class_avg_set_size == (1.0, 1.0)
+        assert report.overall_avg_set_size == 1.0
 
     def test_all_pairs(self):
-        sets = make_sets(2, [{0, 1}] * 3)
-        _, overall = avg_set_size(sets, [0, 0, 0], 2)
-        assert overall == 2.0
+        report = report_of(make_sets(2, [{0, 1}] * 3), [0, 0, 0])
+        assert report.overall_avg_set_size == 2.0
 
     def test_absent_class_reports_none(self):
-        per_class, _ = avg_set_size(make_sets(3, [{0}]), [0], 3)
-        assert per_class == (1.0, None, None)
+        report = report_of(make_sets(3, [{0}]), [0])
+        assert report.per_class_avg_set_size == (1.0, None, None)
 
 
 class TestUncertainHistogram:
     def test_mixed_histogram(self):
-        sets = make_sets(2, [{0, 1}] * 28 + [{0}] * 72)
-        by_size, total_uncertain = uncertain_histogram(sets)
-        assert by_size == {1: 72, 2: 28}
-        assert total_uncertain == 28
+        report = report_of(make_sets(2, [{0, 1}] * 28 + [{0}] * 72), [0] * 100)
+        assert report.uncertain_counts == {1: 72, 2: 28}
+        assert report.uncertain_total == 28
 
     def test_all_singletons_have_no_uncertainty(self):
-        _, total_uncertain = uncertain_histogram(make_sets(2, [{0}] * 10))
-        assert total_uncertain == 0
+        report = report_of(make_sets(2, [{0}] * 10), [0] * 10)
+        assert report.uncertain_total == 0
 
     def test_empty_sets_counted(self):
-        sets = make_sets(2, [set()] * 5 + [{0}] * 77)
-        by_size, total_uncertain = uncertain_histogram(sets)
-        assert by_size[0] == 5
-        assert total_uncertain == 5
+        report = report_of(make_sets(2, [set()] * 5 + [{0}] * 77), [0] * 82)
+        assert report.uncertain_counts[0] == 5
+        assert report.uncertain_total == 5
 
-    def test_empty_input_allowed(self):
-        by_size, total_uncertain = uncertain_histogram(make_sets(2, []))
-        assert by_size == {}
-        assert total_uncertain == 0
+    def test_sizes_are_keyed_in_ascending_order(self):
+        report = report_of(FOUR_SETS, FOUR_LABELS)
+        assert list(report.uncertain_counts.items()) == [(0, 1), (1, 2), (2, 1)]
+        assert report.uncertain_total == 2
 
 
 class TestConfusionAndRecall:
     def test_all_correct_one_hot(self):
         d = make_dataset(3, [(f"s{i}", i % 3, one_hot(3, i % 3)) for i in range(9)])
         matrix, recalls, accuracy = confusion_and_recall(d)
-        assert matrix.counts.tolist() == [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+        assert matrix.tolist() == [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
         assert recalls == (1.0, 1.0, 1.0)
         assert accuracy == 1.0
 
     def test_degenerate_predictor(self):
         d = make_dataset(2, [("a", 0, (0.9, 0.1)), ("b", 1, (0.8, 0.2))])
         matrix, recalls, accuracy = confusion_and_recall(d)
-        assert matrix.counts.tolist() == [[1, 0], [1, 0]]
+        assert matrix.tolist() == [[1, 0], [1, 0]]
         assert recalls == (1.0, 0.0)
         assert accuracy == 0.5
 
@@ -171,16 +179,21 @@ class TestConfusionAndRecall:
             confusion_and_recall(make_dataset(2, []))
 
     def test_row_sums_and_trace(self):
-        counts = ConfusionMatrix(((2, 1), (0, 3))).counts
+        counts, _, accuracy = confusion_and_recall(dataset_with_confusion(((2, 1), (0, 3))))
+        assert counts.tolist() == [[2, 1], [0, 3]]
         assert counts.sum(axis=1).tolist() == [3, 3]
         assert int(np.trace(counts)) == 5
         assert int(counts.sum()) == 6
+        assert accuracy == 5 / 6
 
-    def test_counts_are_a_read_only_array_compared_by_value(self):
-        matrix = ConfusionMatrix(((2, 1), (0, 3)))
-        assert matrix.counts.dtype == np.int64 and not matrix.counts.flags.writeable
-        assert matrix == ConfusionMatrix(np.array([[2, 1], [0, 3]]))
-        assert matrix != ConfusionMatrix(((2, 1), (1, 3)))
+    def test_matrix_is_a_read_only_int64_array(self):
+        data = dataset_with_confusion(((2, 1), (0, 3)))
+        matrix, _, _ = confusion_and_recall(data)
+        confusion = evaluate(data, make_sets(2, [{0}] * 6)).confusion
+        for counts in (matrix, confusion):
+            assert type(counts) is np.ndarray and counts.dtype == np.int64
+            assert counts.shape == (2, 2) and not counts.flags.writeable
+        assert np.array_equal(confusion, matrix)
 
 
 class TestEvaluate:
@@ -198,7 +211,7 @@ class TestEvaluate:
             size * count for size, count in report.uncertain_counts.items()
         )
         assert report.overall_avg_set_size == total_size / report.n_test
-        counts = report.confusion.counts
+        counts = report.confusion
         assert counts.sum(axis=1).tolist() == [
             int((data.labels == c).sum()) for c in range(4)
         ]
@@ -206,7 +219,7 @@ class TestEvaluate:
 
     def test_per_class_aggregates_to_overall(self):
         data, _, report = self._report(seed=321)
-        counts = report.confusion.counts.sum(axis=1).tolist()
+        counts = report.confusion.sum(axis=1).tolist()
         n = report.n_test
 
         def aggregate(per_class):
@@ -243,6 +256,30 @@ class TestEvaluate:
             evaluate(d, make_sets(2, [{0}, {1}]))
         with pytest.raises(InvalidDatasetError):
             confusion_and_recall(d)
+
+    def test_checks_fail_in_a_fixed_order(self):
+        # each case breaks the check it names and every later one it can
+        bad_label = make_dataset(2, [("a", -1, (1.0, 0.0)), ("b", 1, (0.0, 1.0))])
+        good = make_dataset(2, [("a", 0, (1.0, 0.0)), ("b", 1, (0.0, 1.0))])
+        three_wrong_ids = make_sets(3, [{0}, {1}, {2}], ids=("x", "y", "z"))
+        two_wrong_ids = make_sets(3, [{0}, {1}], ids=("b", "a"))
+        cases = [
+            (bad_label, three_wrong_ids, InvalidDatasetError, "true_label -1"),
+            (good, three_wrong_ids, LengthMismatchError, "3 prediction sets vs 2 labels"),
+            (make_dataset(2, []), make_sets(3, []), EmptyDatasetError, "no samples"),
+            (good, two_wrong_ids, DimensionMismatchError, "over 3 classes"),
+            (good, make_sets(2, [{0}, {1}], ids=("b", "a")), DataError, "'b' does not align"),
+        ]
+        for data, sets, error, message in cases:
+            with pytest.raises(DataError, match=message) as caught:
+                evaluate(data, sets)
+            assert type(caught.value) is error
+
+    def test_reports_compare_by_identity(self):
+        _, _, first = self._report(seed=8)
+        _, _, second = self._report(seed=8)
+        assert first == first and first != second
+        assert first.to_json_obj() == second.to_json_obj()
 
     def test_json_round_trip_is_exact(self):
         _, _, report = self._report(seed=55)

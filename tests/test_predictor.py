@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def prediction_set(probs, threshold, sample_id: str = "") -> PredictionSet:
 def argmax_class(probs) -> int:
     """The point prediction that evaluation counts, for a one-row dataset."""
     matrix, _, _ = confusion_and_recall(make_dataset(len(probs), [("x", 0, probs)]))
-    return matrix.counts[0].tolist().index(1)
+    return matrix[0].tolist().index(1)
 
 
 def brute_force_members(probs, threshold: float) -> set[int]:
@@ -98,6 +99,14 @@ class TestPredictBatch:
         batch = predict_batch(d, threshold)
         for ps, sample_id, row in zip(batch, d.ids, d.probs):
             assert ps == prediction_set(tuple(row), threshold, sample_id=sample_id)
+
+    def test_nan_threshold_rejected(self):
+        d = make_dataset(2, [("a", 0, (0.8, 0.2)), ("b", 1, (0.3, 0.7))])
+        for threshold in (math.nan, np.float32("nan"), -math.nan):
+            with pytest.raises(DataError, match="threshold is NaN"):
+                predict_batch(d, threshold)
+        with pytest.raises(DataError, match="threshold is NaN"):
+            predict_batch(make_dataset(2, []), math.nan)
 
     def test_preserves_input_order(self):
         d = make_dataset(2, [(f"s{i}", 0, (0.8, 0.2)) for i in range(20)])

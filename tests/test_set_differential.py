@@ -1,4 +1,4 @@
-"""Mask metrics against the per-set loop metrics kept in ``set_oracle``.
+"""The mask evaluation against the per-set loop metrics kept in ``set_oracle``.
 
 Masks are drawn with empty rows, full rows and random rows, and labels from
 a random prefix of the classes so that some classes are absent.  Every rate
@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 import set_oracle
 from conformal_gate.core_types import ClassUniverse, Dataset
-from conformal_gate.metrics import (
-    avg_set_size,
-    evaluate,
-    marginal_coverage,
-    strict_coverage,
-    uncertain_histogram,
-)
+from conformal_gate.metrics import evaluate, marginal_coverage
 from conformal_gate.predictor import PredictionSets
 
 
@@ -52,23 +46,6 @@ def assert_same(value, expected):
 
 
 @settings(max_examples=300, deadline=None)
-@given(masks_and_labels())
-def test_metrics_equal_the_per_set_oracle(case):
-    k, mask, labels = case
-    ids = tuple(f"s{i}" for i in range(len(labels)))
-    sets = PredictionSets(ids, mask)
-    oracle_sets = set_oracle.sets_of(mask, ids)
-    assert_same(strict_coverage(sets, labels, k), set_oracle.strict_coverage(oracle_sets, labels, k))
-    assert_same(marginal_coverage(sets, labels), set_oracle.marginal_coverage(oracle_sets, labels))
-    assert_same(avg_set_size(sets, labels, k), set_oracle.avg_set_size(oracle_sets, labels, k))
-    by_size, uncertain = uncertain_histogram(sets)
-    expected_by_size, expected_uncertain = set_oracle.uncertain_histogram(oracle_sets)
-    assert list(by_size.items()) == list(expected_by_size.items())
-    assert_same(uncertain, expected_uncertain)
-    assert [ps.members for ps in sets] == [ps.members for ps in oracle_sets]
-
-
-@settings(max_examples=150, deadline=None)
 @given(masks_and_labels(), st.integers(0, 2**32 - 1))
 def test_evaluate_equals_the_per_set_oracle(case, seed):
     k, mask, labels = case
@@ -76,10 +53,12 @@ def test_evaluate_equals_the_per_set_oracle(case, seed):
     probs = np.random.default_rng(seed).random((n, k))
     probs /= probs.sum(axis=1, keepdims=True)
     data = Dataset(ClassUniverse.generic(k), [f"s{i}" for i in range(n)], labels, probs)
-    report = evaluate(data, PredictionSets(data.ids, mask))
+    sets = PredictionSets(data.ids, mask)
+    report = evaluate(data, sets)
 
     oracle_sets = set_oracle.sets_of(mask, data.ids)
     per_strict, strict = set_oracle.strict_coverage(oracle_sets, labels, k)
+    marginal = set_oracle.marginal_coverage(oracle_sets, labels)
     per_size, size = set_oracle.avg_set_size(oracle_sets, labels, k)
     by_size, uncertain = set_oracle.uncertain_histogram(oracle_sets)
     predicted = np.argmax(data.probs, axis=1).tolist()
@@ -88,8 +67,9 @@ def test_evaluate_equals_the_per_set_oracle(case, seed):
         (report.overall_strict_coverage, report.per_class_strict_coverage,
          report.marginal_coverage, report.overall_avg_set_size, report.per_class_avg_set_size,
          report.uncertain_total, report.per_class_recall, report.accuracy),
-        (strict, per_strict, set_oracle.marginal_coverage(oracle_sets, labels), size, per_size,
-         uncertain, recalls, accuracy),
+        (strict, per_strict, marginal, size, per_size, uncertain, recalls, accuracy),
     )
+    assert_same(marginal_coverage(sets, labels), marginal)
     assert list(report.uncertain_counts.items()) == list(by_size.items())
-    assert report.confusion.counts.tolist() == [list(row) for row in counts]
+    assert report.confusion.tolist() == [list(row) for row in counts]
+    assert [ps.members for ps in sets] == [ps.members for ps in oracle_sets]
