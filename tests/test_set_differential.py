@@ -46,6 +46,28 @@ def assert_same(value, expected):
 
 
 @settings(max_examples=300, deadline=None)
+@given(masks_and_labels())
+def test_metrics_equal_the_per_set_oracle(case):
+    k, mask, labels = case
+    n = len(labels)
+    data = Dataset(ClassUniverse.generic(k), [f"s{i}" for i in range(n)], labels,
+                   np.full((n, k), 1.0 / k))
+    sets = PredictionSets(data.ids, mask)
+    report = evaluate(data, sets)
+    oracle_sets = set_oracle.sets_of(mask, data.ids)
+    assert_same((report.per_class_strict_coverage, report.overall_strict_coverage),
+                set_oracle.strict_coverage(oracle_sets, labels, k))
+    assert_same(report.marginal_coverage, set_oracle.marginal_coverage(oracle_sets, labels))
+    assert_same(marginal_coverage(sets, labels), set_oracle.marginal_coverage(oracle_sets, labels))
+    assert_same((report.per_class_avg_set_size, report.overall_avg_set_size),
+                set_oracle.avg_set_size(oracle_sets, labels, k))
+    expected_by_size, expected_uncertain = set_oracle.uncertain_histogram(oracle_sets)
+    assert list(report.uncertain_counts.items()) == list(expected_by_size.items())
+    assert_same(report.uncertain_total, expected_uncertain)
+    assert [ps.members for ps in sets] == [ps.members for ps in oracle_sets]
+
+
+@settings(max_examples=300, deadline=None)
 @given(masks_and_labels(), st.integers(0, 2**32 - 1))
 def test_evaluate_equals_the_per_set_oracle(case, seed):
     k, mask, labels = case
@@ -69,7 +91,5 @@ def test_evaluate_equals_the_per_set_oracle(case, seed):
          report.uncertain_total, report.per_class_recall, report.accuracy),
         (strict, per_strict, marginal, size, per_size, uncertain, recalls, accuracy),
     )
-    assert_same(marginal_coverage(sets, labels), marginal)
     assert list(report.uncertain_counts.items()) == list(by_size.items())
     assert report.confusion.tolist() == [list(row) for row in counts]
-    assert [ps.members for ps in sets] == [ps.members for ps in oracle_sets]
