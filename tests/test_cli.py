@@ -343,6 +343,42 @@ class TestNonUtf8Input:
         assert f"error: line {line}: {corrupt} is not UTF-8: byte 0xff" in capsys.readouterr().err
 
 
+
+class TestCsvWithoutRowsOrWithBom:
+    HEADER = "sample_id,true_label,p_0,p_1\n"
+    ARGV = {
+        "calibrate": ["calibrate", "--input", "d.csv", "--out", "a.json"],
+        "predict": ["predict", "--calibration", "art.json", "--input", "d.csv",
+                    "--out", "sets.jsonl"],
+        "evaluate": ["evaluate", "--calibration", "art.json", "--input", "d.csv",
+                     "--out-json", "r.json", "--out-csv", "r.csv"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def _files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "art.json").write_text('{"threshold": 0.5}')
+
+    @pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["header-only", "blank-lines"])
+    @pytest.mark.parametrize("command, message", [
+        ("calibrate", "error: calibration dataset is empty\n"),
+        ("evaluate", "error: no samples to evaluate\n"),
+    ])
+    def test_no_rows_exits_2(self, tmp_path, capsys, body, command, message):
+        (tmp_path / "d.csv").write_text(self.HEADER + body)
+        assert run(*self.ARGV[command]) == 2
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", ["calibrate", "predict", "evaluate"])
+    def test_byte_order_mark_exits_2_naming_it(self, tmp_path, capsys, command):
+        (tmp_path / "d.csv").write_text("\ufeff" + self.HEADER + "s0,0,1.0,0.0\n",
+                                        encoding="utf-8")
+        assert run(*self.ARGV[command]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: unexpected UTF-8 byte-order mark (BOM):"
+            " save the CSV as UTF-8 without a BOM\n")
+
+
 class TestSimulateCommand:
     def test_default_shape(self, tmp_path):
         out = tmp_path / "trial.json"
