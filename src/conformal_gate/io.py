@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -100,15 +100,12 @@ def read_json(path: str | Path, what: str) -> Any:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_lines(path: str | Path) -> tuple[list[tuple[int, Any]], ParseError | None]:
+def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
     """Each non-blank line of a JSON-lines file, parsed, with its 1-based line number.
 
-    Decoding stops at the first line that is not one JSON value, and that
-    line's ParseError is returned with the lines before it (None if none).
     Lines end at LF only: U+0085, U+2028 and U+2029 may stand unescaped in a
     JSON string, and ``str.splitlines`` would break the line there.
     """
-    records = []
     for line, row in enumerate(_read_text(path, lf_lines=True).split("\n"), start=1):
         if not row.strip():
             continue
@@ -121,9 +118,8 @@ def _json_lines(path: str | Path) -> tuple[list[tuple[int, Any]], ParseError | N
             try:
                 obj = json.loads(row)
             except (json.JSONDecodeError, RecursionError) as exc:
-                return records, ParseError(f"bad JSON: {exc}", line=line)
-        records.append((line, obj))
-    return records, None
+                raise ParseError(f"bad JSON: {exc}", line=line) from exc
+        yield line, obj
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -273,14 +269,10 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
     lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file: missing header", line=1)
-    if lines[0].startswith("\ufeff"):
-        raise ParseError("unexpected UTF-8 byte-order mark (BOM): save the CSV as UTF-8"
-                         " without a BOM", line=1)
     header = lines[0].split(",")
     if len(header) < 3 or header[0] != "sample_id" or header[1] != "true_label":
-        raise ParseError(
-            "header must be sample_id,true_label,p_0,...,p_{K-1}", line=1
-        )
+        raise ParseError("unexpected UTF-8 byte-order mark (BOM)" if header[0][:1] == "\ufeff"
+                         else "header must be sample_id,true_label,p_0,...,p_{K-1}", line=1)
     if universe is None:
         universe = ClassUniverse.generic(len(header) - 2)
     rows, numbers = lines[1:], range(2, len(lines) + 1)
@@ -301,10 +293,9 @@ def _csv_columns(
 ) -> tuple[Sequence[str], list[int], np.ndarray]:
     """Ids, label indices and the (n, K) matrix of non-blank CSV rows.
 
-    numpy's C reader reads the numbers, to the bits ``float()`` gives, or
-    rejects a cell and ``float()`` reads them all.  Raises ValueError, with
-    no line, when :func:`_first_bad_row` would reject any row; the caller
-    then asks it which row.
+    numpy's C reader reads the numbers, or rejects a cell and ``float()``
+    reads them all, to the same bits.  Raises ValueError, with no line, when
+    :func:`_first_bad_row` would reject any row; the caller then asks it which row.
     """
     k = universe.k
     if set(map(str.count, rows, repeat(","))) - {k + 1}:
@@ -313,10 +304,10 @@ def _csv_columns(
         return [], [], np.empty((0, k))
     ids, raw_labels = zip(*(row.split(",", 2)[:2] for row in rows))
     options = dict(delimiter=",", usecols=range(2, k + 2), comments=None, ndmin=2, encoding=None)
+    # the C reader strips U+001F around a number, where float() rejects it
+    converters = float if any(map(str.__contains__, rows, repeat("\x1f"))) else None
     try:
-        if any(map(str.__contains__, rows, repeat("\x1f"))):
-            raise ValueError("the C reader strips U+001F around a number; float() does not")
-        probs = np.loadtxt(rows, np.float64, **options)
+        probs = np.loadtxt(rows, np.float64, converters=converters, **options)
     except ValueError:  # a spelling only float() reads, such as 1_0 or Unicode digits
         probs = np.loadtxt(rows, np.float64, converters=float, **options)
     try:
@@ -353,75 +344,41 @@ def _first_bad_row(
 
 
 def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
-    records, error = _json_lines(path)
-    if universe is None and not records:
-        raise error or ParseError("empty JSONL file: cannot infer the class universe", line=1)
+    ids: list[str] = []
+    labels: list[int] = []
+    values: list[float] = []
+    lines: list[int] = []
+    error = None
     try:
-        columns = _jsonl_columns([obj for _, obj in records], universe)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        universe, stop, error = _first_bad_record(records, universe)
-        records = records[:stop]
-        columns = _jsonl_columns([obj for _, obj in records], universe)
-    lines = [line for line, _ in records]
-    return _checked(Dataset(*columns, lines=lines), lines, error)
-
-
-def _jsonl_columns(
-    objs: list[Any], universe: ClassUniverse | None
-) -> tuple[ClassUniverse, list[str], list[int], np.ndarray]:
-    """The universe, ids, label indices and (n, K) matrix of decoded dataset records.
-
-    Checks each field as one column.  Raises KeyError, TypeError, ValueError
-    or OverflowError, with no line, when :func:`_first_bad_record` would
-    reject any record.
-    """
-    ids = [obj["sample_id"] for obj in objs]
-    raw_labels = [obj["true_label"] for obj in objs]
-    rows = [obj["probs"] for obj in objs]
-    if set(map(type, ids)) - {str} or set(map(type, rows)) - {list}:
-        raise TypeError("a sample_id or probs of the wrong JSON type")
-    if set(map(type, chain.from_iterable(rows))) - {int, float}:
-        raise TypeError("a probs entry that is not a number")
-    universe = universe or ClassUniverse.generic(len(rows[0]))
-    labels = raw_labels
-    if set(map(type, raw_labels)) - {int}:  # class names
-        labels = [_resolve_label(raw, universe, None) for raw in raw_labels]
-    elif labels and not (min(labels) >= 0 and max(labels) < universe.k):
-        raise ValueError("a label is outside [0, K)")
-    # ValueError for a row of other than K entries, OverflowError for an int beyond float
-    return universe, ids, labels, np.array(rows, np.float64).reshape(len(rows), universe.k)
-
-
-def _first_bad_record(
-    records: list[tuple[int, Any]], universe: ClassUniverse | None
-) -> tuple[ClassUniverse, int, DataError]:
-    """The universe, and the index and error of the first record :func:`_jsonl_columns` rejects.
-
-    Each record is checked in a fixed order: keys, id, probs, universe,
-    label, width.  A fault found before the universe is known is raised.
-    """
-    for i, (line, obj) in enumerate(records):
-        try:
+        for offset, obj in _json_lines(path):
             try:
                 sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
             except (KeyError, TypeError) as exc:
-                raise ParseError(f"malformed record: {exc}", line=line) from exc
+                raise ParseError(f"malformed record: {exc}", line=offset) from exc
             if type(sample_id) is not str:
-                raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=line)
+                raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
             if type(probs) is not list or not all(type(v) in (int, float) for v in probs):
-                raise ParseError("probs is not a JSON array of numbers", line=line)
+                raise ParseError("probs is not a JSON array of numbers", line=offset)
             try:
-                list(map(float, probs))
+                row = [float(v) for v in probs]
             except OverflowError as exc:
-                raise ParseError(f"probs entry out of float range: {exc}", line=line) from exc
-            universe = universe or ClassUniverse.generic(len(probs))
-            _resolve_label(raw_label, universe, line)
-            _check_width(len(probs), universe, line)
-        except DataError as exc:
+                raise ParseError(f"probs entry out of float range: {exc}", line=offset) from exc
             if universe is None:
-                raise
-            return universe, i, exc
-    raise AssertionError("the column checks rejected records the row check accepts")
+                universe = ClassUniverse.generic(len(row))
+            label = _resolve_label(raw_label, universe, offset)
+            _check_width(len(row), universe, offset)
+            ids.append(sample_id)
+            labels.append(label)
+            values.extend(row)
+            lines.append(offset)
+    except DataError as exc:
+        if universe is None:
+            raise
+        error = exc
+    if universe is None:
+        raise ParseError("empty JSONL file: cannot infer the class universe", line=1)
+    probs = np.array(values, dtype=np.float64).reshape(len(ids), universe.k)
+    return _checked(Dataset(universe, ids, labels, probs, lines=lines), lines, error)
 
 
 # The loader splits the file with str.splitlines and each row on ",", with
@@ -481,20 +438,14 @@ def write_predictions(
     """Write one prediction JSONL line per set, with ``true_label`` when labels are given.
 
     Each line is what ``json.dumps`` writes for the record: ids are escaped
-    by its ASCII string encoder, and members are joined by ", " in brackets.
+    by its ASCII string encoder, and a list of ints prints as JSON.
     """
     ends = (["}\n"] * len(sets) if labels is None
             else [f', "true_label": {label}}}\n' for label in np.asarray(labels).tolist()])
-    # every member's text and separator in row order, from one array lookup: a
-    # set's text is its slice less the last ", "
-    members = np.array([f"{j}, " for j in range(sets.mask.shape[1])], dtype=object)[
-        np.nonzero(sets.mask)[1]].tolist()
-    stops = np.cumsum(sets.sizes).tolist()
     write_atomic(path, "".join(
-        f'{{"sample_id": {sample_id}, "members": [{"".join(members[start:stop])[:-2]}],'
-        f' "set_size": {stop - start}{end}'
-        for sample_id, start, stop, end in zip(
-            map(encode_basestring_ascii, sets.ids), [0, *stops[:-1]], stops, ends)
+        f'{{"sample_id": {sample_id}, "members": {members}, "set_size": {len(members)}{end}'
+        for sample_id, members, end in zip(
+            map(encode_basestring_ascii, sets.ids), sets.member_lists(), ends)
     ))
 
 
@@ -507,10 +458,13 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
     """
     from .predictor import PredictionSets
 
-    records, error = _json_lines(path)
-    if error is not None:  # a bad record before the bad line comes first
+    records: list[tuple[int, Any]] = []
+    try:
+        for record in _json_lines(path):
+            records.append(record)
+    except ParseError:  # a bad record before the bad line comes first
         _check_prediction_rows(records, k)
-        raise error
+        raise
     try:
         ids = [obj["sample_id"] for _, obj in records]
         members = [obj["members"] for _, obj in records]

@@ -10,9 +10,6 @@ the same order.
 :func:`load_csv_rows` is the CSV loader that the bulk parse replaced: one
 row at a time, stopping at the first row it cannot parse.
 
-:func:`load_jsonl_rows` is the dataset JSONL loader that the column checks
-replaced: each decoded record checked and converted on its own.
-
 :func:`load_predictions_rows` is the prediction JSONL loader that the
 column checks replaced: ``json.loads`` and the checks once per line.
 
@@ -37,23 +34,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from conformal_gate.core_types import (
-    ClassUniverse,
-    DataError,
-    Dataset,
-    DimensionMismatchError,
-    Violation,
-)
+from conformal_gate.core_types import ClassUniverse, Dataset, DimensionMismatchError, Violation
 from conformal_gate.io import (
     ParseError,
     SplitSpec,
     UnknownLabelError,
-    _check_width,
-    _checked,
     _shuffled_indices,
     largest_remainder_sizes,
 )
-from conformal_gate.io import _resolve_label as _resolve_any_label
 from conformal_gate.predictor import PredictionSets
 
 ALL_INCLUSIVE = math.inf
@@ -190,56 +178,6 @@ def load_csv_rows(path, universe: ClassUniverse | None) -> Dataset:
         raise ParseError(f"duplicate sample_id {v.sample_id!r} (first seen on line {first})",
                          line=numbers[v.row])
     return dataset
-
-
-def load_jsonl_rows(path, universe: ClassUniverse | None) -> Dataset:
-    """The dataset JSONL at ``path``, one decoded record at a time; errors name their line.
-
-    Lines are split at LF and decoded with ``json.loads`` one at a time.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = handle.read().split("\n")
-    ids: list[str] = []
-    labels: list[int] = []
-    values: list[float] = []
-    lines: list[int] = []
-    error = None
-    try:
-        for offset, text in enumerate(rows, start=1):
-            if not text.strip():
-                continue
-            try:
-                obj = json.loads(text)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ParseError(f"bad JSON: {exc}", line=offset) from exc
-            try:
-                sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"malformed record: {exc}", line=offset) from exc
-            if type(sample_id) is not str:
-                raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
-            if type(probs) is not list or not all(type(v) in (int, float) for v in probs):
-                raise ParseError("probs is not a JSON array of numbers", line=offset)
-            try:
-                row = [float(v) for v in probs]
-            except OverflowError as exc:
-                raise ParseError(f"probs entry out of float range: {exc}", line=offset) from exc
-            if universe is None:
-                universe = ClassUniverse.generic(len(row))
-            label = _resolve_any_label(raw_label, universe, offset)
-            _check_width(len(row), universe, offset)
-            ids.append(sample_id)
-            labels.append(label)
-            values.extend(row)
-            lines.append(offset)
-    except DataError as exc:
-        if universe is None:
-            raise
-        error = exc
-    if universe is None:
-        raise ParseError("empty JSONL file: cannot infer the class universe", line=1)
-    probs = np.array(values, dtype=np.float64).reshape(len(ids), universe.k)
-    return _checked(Dataset(universe, ids, labels, probs, lines=lines), lines, error)
 
 
 def load_predictions_rows(path, k: int) -> PredictionSets:

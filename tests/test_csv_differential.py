@@ -137,6 +137,6 @@ def test_written_spellings_load_bit_exactly_through_one_c_reader_call(k, cells):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "loadtxt", spy)
         _, _, probs = _csv_columns(rows, ClassUniverse.generic(k))
-    assert ["converters" in kwargs for kwargs in calls] == [False]
+    assert [kwargs.get("converters") for kwargs in calls] == [None]
     expected = np.array([float(cell) for cell in cells]).reshape(-1, k)
     assert probs.tobytes() == expected.tobytes()
