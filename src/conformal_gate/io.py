@@ -7,7 +7,10 @@ Formats (UTF-8, LF line endings, ``.`` decimal separator):
 * dataset JSONL  - one ``{"sample_id", "true_label", "probs": [...]}``
   object per line; the id is a JSON string, probs an array of numbers;
 * prediction JSONL - one ``{"sample_id", "members", "set_size"}`` object per
-  set, plus ``"true_label"`` when known; members are sorted class indices;
+  set, plus ``"true_label"`` when known; members are sorted class indices.
+  A file in the exact layout :func:`write_predictions` writes is read with
+  one regex match over the text and one ``json.loads`` per column; any
+  other, line by line, to the same sets or the same error;
 * classes.json   - ``[{"index": 0, "name": "..."}, ...]``;
 * report JSON    - full precision, schema defined by EvaluationReport;
 * report CSV     - one row per class plus a trailing ``overall`` row,
@@ -43,6 +46,7 @@ from .core_types import (
     DataError,
     Dataset,
     DimensionMismatchError,
+    LengthMismatchError,
 )
 
 # Annotations only: so that importing io loads no layer but core_types, the
@@ -100,13 +104,13 @@ def read_json(path: str | Path, what: str) -> Any:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Each non-blank line of a JSON-lines file, parsed, with its 1-based line number.
+def _json_lines(text: str) -> Iterator[tuple[int, Any]]:
+    """Each non-blank line of a JSON-lines text, parsed, with its 1-based line number.
 
     Lines end at LF only: U+0085, U+2028 and U+2029 may stand unescaped in a
     JSON string, and ``str.splitlines`` would break the line there.
     """
-    for line, row in enumerate(_read_text(path, lf_lines=True).split("\n"), start=1):
+    for line, row in enumerate(text.split("\n"), start=1):
         if not row.strip():
             continue
         value = row.strip(" \t")  # the JSON whitespace a line can hold: it has no CR or LF
@@ -350,7 +354,7 @@ def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
     lines: list[int] = []
     error = None
     try:
-        for offset, obj in _json_lines(path):
+        for offset, obj in _json_lines(_read_text(path, lf_lines=True)):
             try:
                 sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
             except (KeyError, TypeError) as exc:
@@ -438,15 +442,68 @@ def write_predictions(
     """Write one prediction JSONL line per set, with ``true_label`` when labels are given.
 
     Each line is what ``json.dumps`` writes for the record: ids are escaped
-    by its ASCII string encoder, and a list of ints prints as JSON.
+    by its ASCII string encoder, and a list of ints prints as JSON.  Labels
+    that are not one per set are a LengthMismatchError, and no file is written.
     """
-    ends = (["}\n"] * len(sets) if labels is None
-            else [f', "true_label": {label}}}\n' for label in np.asarray(labels).tolist()])
+    if labels is None:
+        ends = ["}\n"] * len(sets)
+    else:
+        labels = np.asarray(labels)
+        if labels.shape != (len(sets),):
+            raise LengthMismatchError(
+                f"{len(sets)} prediction sets vs labels of shape {labels.shape}")
+        ends = [f', "true_label": {label}}}\n' for label in labels.tolist()]
+    digits = np.array(list(map(str, range(sets.mask.shape[1]))), dtype=object)
     write_atomic(path, "".join(
-        f'{{"sample_id": {sample_id}, "members": {members}, "set_size": {len(members)}{end}'
+        f'{{"sample_id": {sample_id}, "members": [{", ".join(members)}], '
+        f'"set_size": {len(members)}{end}'
         for sample_id, members, end in zip(
-            map(encode_basestring_ascii, sets.ids), sets.member_lists(), ends)
+            map(encode_basestring_ascii, sets.ids),
+            sets.by_set(digits[np.nonzero(sets.mask)[1]]), ends)
     ))
+
+
+# The line write_predictions writes.  json.loads checks the ids, members and
+# set sizes it captures; a true_label is only checked, as a JSON integer.
+_WRITTEN_LINE = (r'^\{"sample_id": ("[^"\\\n]*(?:\\.[^"\\\n]*)*"), "members": \[([0-9, ]*)\], '
+                 r'"set_size": ([0-9]+)(?:, "true_label": -?(?:0|[1-9][0-9]*))?\}$')
+
+
+def _written_predictions(text: str, k: int) -> PredictionSets | None:
+    """The sets of a file in the exact layout :func:`write_predictions` writes, or None.
+
+    Every line must match that layout, with JSON ids and integers, members
+    strictly ascending in [0, k) and each ``set_size`` their count.  Any
+    other file gives None, and :func:`load_predictions` reads it line by line.
+    """
+    from .predictor import PredictionSets
+
+    rows = re.findall(_WRITTEN_LINE, text, re.M)
+    n = len(rows)
+    if n != text.count("\n") or not text.endswith("\n"):  # a line that does not match
+        return None
+    ids, members, sizes = zip(*rows)
+    # One space after each comma and no other space: once json.loads reads the
+    # joined text, each row's is "a, b, c" of JSON integers, its commas one fewer.
+    joined = ", ".join(filter(None, members))
+    if not joined.count(",") == joined.count(", ") == joined.count(" "):
+        return None
+    counts = (np.fromiter(map(str.count, members, repeat(",")), np.int64, n)
+              + np.fromiter(map(bool, members), bool, n))
+    try:
+        ids = json.loads(f"[{','.join(ids)}]")
+        flat = json.loads(f"[{joined}]")
+        if json.loads(f"[{','.join(sizes)}]") != counts.tolist():
+            return None
+        flat = np.fromiter(flat, np.int64, len(flat))
+    except (json.JSONDecodeError, OverflowError):
+        return None
+    cells = np.repeat(np.arange(n) * k, counts) + flat
+    if flat.size and (flat.max() >= k or np.any(np.diff(cells) <= 0)):
+        return None
+    mask = np.zeros((n, k), dtype=bool)
+    mask.reshape(-1)[cells] = True
+    return PredictionSets(ids, mask)
 
 
 def load_predictions(path: str | Path, k: int) -> PredictionSets:
@@ -454,13 +511,18 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
 
     ``members`` that is not a JSON array, a member that is not an int in
     [0, k) (bools included), or a ``set_size`` other than the count of
-    distinct members, is a ParseError with its line.
+    distinct members, is a ParseError with its line.  A file in the layout
+    :func:`write_predictions` writes is read in one pass, any other line by line.
     """
     from .predictor import PredictionSets
 
+    text = _read_text(path, lf_lines=True)
+    sets = _written_predictions(text, k)
+    if sets is not None:
+        return sets
     records: list[tuple[int, Any]] = []
     try:
-        for record in _json_lines(path):
+        for record in _json_lines(text):
             records.append(record)
     except ParseError:  # a bad record before the bad line comes first
         _check_prediction_rows(records, k)
@@ -628,17 +690,23 @@ def report_csv_text(report: EvaluationReport) -> str:
 def report_json_text(report: EvaluationReport) -> str:
     """``json.dumps(report.to_json_obj(), indent=2)`` and a newline.
 
-    The confusion matrix, the last key, is written here from one ``repr``:
-    ``json.dumps`` encodes with pure Python whenever ``indent`` is set.
+    The confusion matrix, the last key, is written here by looking each
+    cell up in the strings of the matrix's distinct values: ``json.dumps``
+    encodes with pure Python whenever ``indent`` is set.  The distinct
+    values come from one sort, which on numpy 2.4 is several times faster
+    than ``np.unique`` on a matrix of few distinct counts.
     """
-    obj = report.to_json_obj()
-    counts = obj.pop("confusion_matrix")
-    if counts and counts[0]:
-        rows = repr(counts)[2:-2].replace(", ", ",\n      ").replace(
-            "],\n      [", "\n    ],\n    [\n      ")
+    counts = report.confusion
+    if counts.size:
+        ordered = np.sort(counts, axis=None)
+        values = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+        texts = np.array(list(map(str, values.tolist())), dtype=object)[
+            np.searchsorted(values, counts)]
+        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, texts.tolist()))
         matrix = f"[\n    [\n      {rows}\n    ]\n  ]"
     else:  # no cells
-        matrix = json.dumps(counts, indent=2).replace("\n", "\n  ")
+        matrix = json.dumps(counts.tolist(), indent=2).replace("\n", "\n  ")
+    obj = report.to_json_obj(confusion=False)
     return json.dumps(obj, indent=2)[:-2] + f',\n  "confusion_matrix": {matrix}\n}}\n'
 
 

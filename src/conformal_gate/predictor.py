@@ -66,13 +66,13 @@ class PredictionSets:
         return PredictionSet(self.ids[i], frozenset(np.flatnonzero(self.mask[i]).tolist()))
 
     def __iter__(self):
-        return (PredictionSet(i, frozenset(m)) for i, m in zip(self.ids, self.member_lists()))
+        return map(PredictionSet, self.ids, map(frozenset, self.by_set(np.nonzero(self.mask)[1])))
 
-    def member_lists(self) -> list[list[int]]:
-        """Each set's members in ascending order."""
-        columns = np.nonzero(self.mask)[1].tolist()
+    def by_set(self, cells: np.ndarray) -> list[list]:
+        """``cells``, one entry per member in ``np.nonzero(mask)`` order, as one list per set."""
+        cells = cells.tolist()
         ends = np.cumsum(self.sizes).tolist()
-        return [columns[end - size:end] for size, end in zip(self.sizes.tolist(), ends)]
+        return [cells[end - size:end] for size, end in zip(self.sizes.tolist(), ends)]
 
 
 def predict_batch(test: Dataset, result: CalibrationResult | float) -> PredictionSets:

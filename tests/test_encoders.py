@@ -76,10 +76,11 @@ def test_prediction_jsonl_matches_golden(tmp_path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@given(st.integers(0, 5), st.integers(0, 40), st.data())
 def test_report_json_equals_json_dumps_for_any_matrix_shape(rows, columns, data):
-    counts = data.draw(st.lists(st.integers(0, 10**12), min_size=rows * columns,
-                                max_size=rows * columns))
+    # repeated small counts, and many distinct ones over the whole int64 range
+    cells = st.integers(0, 3) | st.integers(-10**12, 10**12) | st.integers(-2**63, 2**63 - 1)
+    counts = data.draw(st.lists(cells, min_size=rows * columns, max_size=rows * columns))
     report = replace(golden_report(),
                      confusion=np.array(counts, dtype=np.int64).reshape(rows, columns))
     assert report_json_text(report) == json.dumps(report.to_json_obj(), indent=2) + "\n"

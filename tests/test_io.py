@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_gate.core_types import ClassUniverse, DataError, Dataset, DimensionMismatchError
+from conformal_gate.core_types import (
+    ClassUniverse,
+    DataError,
+    Dataset,
+    DimensionMismatchError,
+    LengthMismatchError,
+)
 from conformal_gate.io import (
     _CSV_UNSAFE_ID,
     ParseError,
@@ -203,6 +209,14 @@ class TestPredictionJsonl:
         loaded = load_predictions(path, 4)
         assert loaded.ids == sets.ids
         assert np.array_equal(loaded.mask, sets.mask)
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2, 0], [[0, 1, 2]], [[0], [1], [2]], 1])
+    def test_labels_not_one_per_set_are_an_error_and_write_no_file(self, tmp_path, labels):
+        sets = make_sets(3, [{0}, {1, 2}, set()], ids=("a", "b", "c"))
+        with pytest.raises(LengthMismatchError,
+                           match=r"^3 prediction sets vs labels of shape \("):
+            write_predictions(sets, tmp_path / "sets.jsonl", np.array(labels))
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_members_count_once(self, tmp_path):
         path = tmp_path / "sets.jsonl"
