@@ -103,9 +103,8 @@ class EvaluationReport:
         confusion.flags.writeable = False
         object.__setattr__(self, "confusion", confusion)
 
-    def to_json_obj(self, confusion: bool = True) -> dict:
-        """The report as JSON values; ``confusion=False`` leaves out the matrix."""
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "n_test": self.n_test,
             "class_names": list(self.class_names),
             "accuracy": self.accuracy,
@@ -117,10 +116,8 @@ class EvaluationReport:
             "per_class_avg_set_size": list(self.per_class_avg_set_size),
             "uncertain_counts": {str(size): c for size, c in sorted(self.uncertain_counts.items())},
             "uncertain_total": self.uncertain_total,
+            "confusion_matrix": self.confusion.tolist(),
         }
-        if confusion:
-            obj["confusion_matrix"] = self.confusion.tolist()
-        return obj
 
 
 def evaluate(test: Dataset, sets: PredictionSets) -> EvaluationReport:

@@ -10,8 +10,9 @@ the same order.
 :func:`load_csv_rows` is the CSV loader that the bulk parse replaced: one
 row at a time, stopping at the first row it cannot parse.
 
-:func:`load_predictions_rows` is the prediction JSONL loader that the
-column checks replaced: ``json.loads`` and the checks once per line.
+:func:`load_predictions_rows` is the prediction JSONL loader before the
+one-pass reader of the writer's layout: ``json.loads`` and the checks once
+per line.
 
 :func:`calibrate_scores_tuple` and :func:`curve_csv_tuple` are the
 calibration and curve export that the sorted score array replaced: the

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_gate import io as cgio
-from conformal_gate.io import ParseError, load_predictions, write_predictions
+from conformal_gate.io import load_predictions, write_predictions
 from conformal_gate.predictor import PredictionSets
 
 from row_oracle import load_predictions_rows
@@ -36,13 +36,14 @@ BAD_RECORDS = ([], "x", 5, None, {"members": [0]}, {"sample_id": "a"})
 # Field texts of a written line replaced by ones the writer never writes: JSON
 # it does not write, text that is not JSON, or values out of range.
 BIG = str(2**63)
+HUGE = "9" * 5000  # beyond the 4300 digits json.loads converts: a ValueError, not a ParseError
 ODD_FIELDS = {
     "sample_id": ['"\\/x"', '"\\u00e9"', '"\\q"', '"\\u12"', '"é"', '"\u2028"', '"\x85"',
                   '"\x01"', '"a\\"', "1"],
     "members": ["[01]", "[-0]", "[0, 01]", "[00]", f"[{BIG}]", "[1, 1]", "[0, 0]", "[1, 0]",
                 "[0,1]", "[ 0]", "[0 ]", "[0,  1]", "[0, 1,]", "[0, ]", "[, 0]", "[ ]", "[,]",
-                "[1.0]", "[true]", "[]", "[0, 1, 2, 3, 4, 5]"],
-    "set_size": ["01", "-0", "00", BIG, "-1", "1.0", "true", "0", "2"],
+                "[1.0]", "[true]", "[]", "[0, 1, 2, 3, 4, 5]", f"[{HUGE}]"],
+    "set_size": ["01", "-0", "00", BIG, HUGE, "-1", "1.0", "true", "0", "2"],
     "true_label": ["01", "-0", "00", BIG, f"-{BIG}0", "-1", "1.0", "null", '"x"'],
 }
 # Whole lines from field texts: keys dropped or reordered, other spacing, and
@@ -72,8 +73,8 @@ def layout(fields: dict) -> str:
 def outcome(load):
     try:
         sets = load()
-    except ParseError as exc:
-        return "error", type(exc), str(exc), exc.line
+    except ValueError as exc:  # ParseError, or an integer too long to convert
+        return "error", type(exc), str(exc), getattr(exc, "line", None)
     return "sets", sets.ids, sets.mask.shape, sets.mask.tobytes()
 
 
@@ -119,7 +120,7 @@ def check(k: int, text: str) -> None:
 @example((2, '{"sample_id": "a", "members": [0]}\n[1] [2]\n'))
 @example((2, '{"sample_id": "a", "members": {}}\n'))
 @example((2, '{"sample_id": "a", "members": [1], "set_size": true}\n'))
-def test_column_checks_equal_the_per_row_checker(case):
+def test_any_file_equals_the_per_row_checker(case):
     check(*case)
 
 
@@ -173,6 +174,13 @@ def test_each_odd_field_gives_the_per_row_result(key, text, row):
 def test_each_odd_line_gives_the_per_row_result(change):
     lines = list(map(layout, WRITTEN))
     lines[1] = change(WRITTEN[1])
+    check(3, "\n".join(lines) + "\n")
+
+
+def test_the_first_huge_integer_in_line_order_is_reported():
+    lines = list(map(layout, WRITTEN))
+    lines[0] = layout({**WRITTEN[0], "set_size": HUGE})
+    lines[1] = layout({**WRITTEN[1], "members": f"[{HUGE}9]", "set_size": "1"})
     check(3, "\n".join(lines) + "\n")
 
 
