@@ -3,7 +3,10 @@
 Formats (UTF-8, LF line endings, ``.`` decimal separator):
 
 * dataset CSV    - header ``sample_id,true_label,p_0,...,p_{K-1}``; labels
-  may be class indices or class names resolvable via the universe;
+  may be class indices or class names resolvable via the universe.  One
+  ``np.loadtxt`` call returns every row's raw id and label strings and the
+  (n, K) matrix, and rejects a row of any other width; a file it rejects
+  is read row by row for the line of its first bad row;
 * dataset JSONL  - one ``{"sample_id", "true_label", "probs": [...]}``
   object per line; the id is a JSON string, probs an array of numbers;
 * prediction JSONL - one ``{"sample_id", "members", "set_size"}`` object per
@@ -26,7 +29,6 @@ order) and concatenate the class slices per part.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -97,7 +99,7 @@ def read_json(path: str | Path, what: str) -> Any:
     text = _read_text(path, lf_lines=True)  # json's own errors count lines at LF
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, or over 4300 digits
         raise ParseError(f"malformed {what} {path}: {exc}") from exc
 
 
@@ -116,12 +118,12 @@ def _json_lines(text: str) -> Iterator[tuple[int, Any]]:
         value = row.strip(" \t")  # the JSON whitespace a line can hold: it has no CR or LF
         try:
             obj, end = _scan_json(value, 0)
-        except (StopIteration, json.JSONDecodeError, RecursionError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(value):  # not one JSON value: json.loads words the error
             try:
                 obj = json.loads(row)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # an integer over 4300 digits too
                 raise ParseError(f"bad JSON: {exc}", line=line) from exc
         yield line, obj
 
@@ -186,6 +188,8 @@ def load_universe(path: str | Path) -> ClassUniverse:
 
 def universe_digest(universe: ClassUniverse) -> str:
     """Stable sha256 of the class universe, for artifact cross-checks."""
+    import hashlib  # here, not at the top: commands that hash nothing skip loading OpenSSL
+
     canonical = json.dumps(
         [[i, name] for i, name in enumerate(universe.names)], separators=(",", ":")
     )
@@ -193,6 +197,8 @@ def universe_digest(universe: ClassUniverse) -> str:
 
 
 def file_digest(path: str | Path) -> str:
+    import hashlib
+
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
@@ -294,33 +300,35 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
 
 def _csv_columns(
     rows: list[str], universe: ClassUniverse
-) -> tuple[Sequence[str], list[int], np.ndarray]:
+) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Ids, label indices and the (n, K) matrix of non-blank CSV rows.
 
-    numpy's C reader reads the numbers, or rejects a cell and ``float()``
-    reads them all, to the same bits.  Raises ValueError, with no line, when
-    :func:`_first_bad_row` would reject any row; the caller then asks it which row.
+    One call of numpy's C reader splits each row into its raw id and label
+    strings and its K numbers, and rejects a row of any other width.  A cell
+    that reader rejects, or a U+001F it would strip, has every number read
+    with ``float()`` instead, to the same bits.  Raises ValueError, with no
+    line, when :func:`_first_bad_row` would reject any row; the caller then
+    asks it which row.
     """
     k = universe.k
-    if set(map(str.count, rows, repeat(","))) - {k + 1}:
-        raise ValueError("a row does not hold K + 2 fields")  # loadtxt ignores extra columns
     if not rows:  # loadtxt warns on no data
-        return [], [], np.empty((0, k))
-    ids, raw_labels = zip(*(row.split(",", 2)[:2] for row in rows))
-    options = dict(delimiter=",", usecols=range(2, k + 2), comments=None, ndmin=2, encoding=None)
-    # the C reader strips U+001F around a number, where float() rejects it
-    converters = float if any(map(str.__contains__, rows, repeat("\x1f"))) else None
+        return [], np.empty(0, np.int64), np.empty((0, k))
+    # labels stay strings: the C reader would strip U+001F around an int64 too
+    options = dict(dtype=[("id", object), ("label", object), ("p", np.float64, (k,))],
+                   delimiter=",", comments=None, ndmin=1, encoding=None)
+    retry = dict.fromkeys(range(2, k + 2), float)
+    converters = retry if "\x1f" in "".join(rows) else None
     try:
-        probs = np.loadtxt(rows, np.float64, converters=converters, **options)
+        table = np.loadtxt(rows, converters=converters, **options)
     except ValueError:  # a spelling only float() reads, such as 1_0 or Unicode digits
-        probs = np.loadtxt(rows, np.float64, converters=float, **options)
+        table = np.loadtxt(rows, converters=retry, **options)
     try:
-        labels = list(map(int, raw_labels))
-    except ValueError:  # class names
-        labels = [_resolve_label(raw, universe, None) for raw in raw_labels]
-    if labels and not (min(labels) >= 0 and max(labels) < k):
+        labels = table["label"].astype(np.int64)  # int() of each string
+    except (ValueError, OverflowError):  # class names, or beyond int64
+        labels = np.array([_resolve_label(raw, universe, None) for raw in table["label"]])
+    if not (labels.min() >= 0 and labels.max() < k):
         raise ValueError("a label is outside [0, K)")
-    return ids, labels, probs
+    return table["id"].tolist(), labels, table["p"]
 
 
 def _first_bad_row(

@@ -185,7 +185,8 @@ def load_predictions_rows(path, k: int) -> PredictionSets:
     """Prediction JSONL decoded and checked one line at a time; errors name their line.
 
     As the loader was before its column checks, with ``members`` required to
-    be a JSON array, too-deep nesting reported as bad JSON, and lines split at LF.
+    be a JSON array, too-deep nesting and integers of more than 4300 digits
+    reported as bad JSON, and lines split at LF.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().split("\n")
@@ -195,7 +196,7 @@ def load_predictions_rows(path, k: int) -> PredictionSets:
             continue
         try:
             obj = json.loads(row)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad JSON: {exc}", line=offset) from exc
         try:
             sample_id, members = obj["sample_id"], obj["members"]

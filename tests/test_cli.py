@@ -343,6 +343,37 @@ class TestNonUtf8Input:
         assert f"error: line {line}: {corrupt} is not UTF-8: byte 0xff" in capsys.readouterr().err
 
 
+class TestIntegerTooLongForJson:
+    """An integer of more than 4300 digits, which ``json`` will not convert, is bad JSON."""
+
+    HUGE = "9" * 5001
+
+    @pytest.mark.parametrize("name, text, argv, cited", [
+        ("artifact.json", '{{"threshold": 0.5, "k": {}}}',
+         ["predict", "--calibration", "artifact.json", "--input", "d.csv", "--out", "sets.jsonl"],
+         "error: malformed calibration artifact artifact.json: "),
+        ("classes.json", '[{{"index": 0, "name": "a"}}, {{"index": {}, "name": "b"}}]',
+         ["calibrate", "--input", "d.csv", "--classes", "classes.json", "--out", "a.json"],
+         "error: malformed classes file classes.json: "),
+        ("d.jsonl", '{{"sample_id": "s0", "true_label": 0, "probs": [1.0, 0.0]}}\n'
+                    '{{"sample_id": "s1", "true_label": {}, "probs": [0.0, 1.0]}}\n',
+         ["calibrate", "--input", "d.jsonl", "--out", "a.json"], "error: line 2: bad JSON: "),
+        ("pred.jsonl", '{{"sample_id": "s0", "members": [0], "set_size": 1}}\n'
+                       '{{"sample_id": "s1", "members": [1], "set_size": {}}}\n',
+         ["evaluate", "--input", "d.csv", "--predictions", "pred.jsonl",
+          "--out-json", "r.json", "--out-csv", "r.csv"], "error: line 2: bad JSON: "),
+    ], ids=["artifact-k", "classes-index", "dataset-jsonl-label", "predictions-set-size"])
+    def test_exits_2_citing_the_line_or_path(self, tmp_path, monkeypatch, capsys, name, text,
+                                            argv, cited):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text(TestNonUtf8Input.FILES["d.csv"])
+        (tmp_path / name).write_text(text.format(self.HUGE))
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(cited) and "4300" in err
+        assert not any((tmp_path / out).exists() for out in ("a.json", "sets.jsonl", "r.json"))
+
+
 
 class TestCsvWithoutRowsOrWithBom:
     HEADER = "sample_id,true_label,p_0,p_1\n"

@@ -6,10 +6,13 @@ of range and duplicate ids.  A file that loads must give the same ids and
 labels and bit-identical probabilities; a file that fails must fail with the
 same exception type, message and line, after the same log messages.
 
-The bulk loader reads the numbers with numpy's C reader and retries with
-``float()`` as the converter; the pools hold cells on which the two part
-(``0.5#1``, NUL, U+001F, hex floats, Unicode digits).  The spellings the
-writers produce must load through the C reader alone.
+The bulk loader reads each row's id, label and numbers with one call of
+numpy's C reader and retries with ``float()`` converting the numbers; the
+pools hold cells on which the two part (``0.5#1``, NUL, U+001F, hex floats,
+Unicode digits), ids and labels the C reader might strip or convert
+differently from ``str.split`` and ``int()``, and rows with a trailing comma.
+The spellings the writers produce, and files labelled by class name, must
+load through one C reader call.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformal_gate import io as cgio
 from conformal_gate.core_types import ClassUniverse
-from conformal_gate.io import _csv_columns, _load_csv
+from conformal_gate.io import _csv_columns, _load_csv, write_dataset
+from conformal_gate.synth import SyntheticSpec, generate
 
 from row_oracle import load_csv_rows
 
@@ -38,8 +43,9 @@ OTHER = ("0.5", ".5", "+1e-3", "nan", "NaN", "inf", "-inf", "Infinity", "1e999",
          # cells on which numpy's C reader and float() may part
          "0.5#1", "#", "\x00", "0.5\x00", "\xa00.5 ", "0x1p-1", "٠.٥", "\x1f0.5", "0.5\x1f")
 LABELS = ("0", "1", "2", " 1", "+1", "1_0", "-1", "3", "5", "", "1.0", "cat", " dog ",
-          "zebra", "\xa01\xa0", "99999999999999999999", "nan")
-IDS = ("a", "b", "c", "d", " e", "é", "", "#", "f#1")
+          "zebra", "\xa01\xa0", "99999999999999999999", "nan",
+          "\x1f1", "1\x1f", "٣", "00", "-0", "9" * 5000)
+IDS = ("a", "b", "c", "d", " e", "é", "", "#", "f#1", "\x00", "g\x00", "\x1f", "\t", "  ")
 
 
 @st.composite
@@ -61,7 +67,8 @@ def csv_files(draw):
             cells[draw(st.integers(0, width - 1))] = draw(st.sampled_from(OTHER))
         names = LABELS if kind == "mixed" else LABELS[:5] + ("cat", " dog ")
         label = draw(st.sampled_from(names))
-        rows.append(",".join([draw(st.sampled_from(IDS)), label] + cells))
+        trailing = draw(st.sampled_from([""] * 12 + [","]))
+        rows.append(",".join([draw(st.sampled_from(IDS)), label] + cells) + trailing)
     if draw(st.booleans()):
         rows.append(draw(st.sampled_from(BLANKS)))
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -117,6 +124,18 @@ def test_each_spelling_in_an_otherwise_good_file_matches_the_row_loader(tmp_path
     assert outcome(_load_csv, path, None) == outcome(load_csv_rows, path, None)
 
 
+@pytest.mark.parametrize("row", [*(f"{i},0,0,1" for i in IDS),
+                                 *(f"b,{label},0,1" for label in LABELS),
+                                 "b,1,0,1,", "b,1,0,1,,", "b,1,1", "b,1,0,1,0"])
+def test_each_id_label_and_width_in_an_otherwise_good_file_matches_the_row_loader(tmp_path, row):
+    """Every pooled id and label, a trailing comma, and K + 1 and K + 3 fields, one at a time."""
+    path = tmp_path / "d.csv"
+    text = "sample_id,true_label,p_0,p_1\na,0,1,0\n" + row + "\nc,1,0,1\n"
+    path.write_text(text, encoding="utf-8", newline="")
+    for universe in (None, ClassUniverse(("cat", "dog"))):
+        assert outcome(_load_csv, path, universe) == outcome(load_csv_rows, path, universe)
+
+
 # What dataset_csv_text writes for a float64, and the shortest float32
 # string a float32 softmax export writes.
 WRITTEN = st.one_of(st.floats().map(repr), st.floats(width=32).map(lambda v: str(np.float32(v))))
@@ -140,3 +159,48 @@ def test_written_spellings_load_bit_exactly_through_one_c_reader_call(k, cells):
     assert [kwargs.get("converters") for kwargs in calls] == [None]
     expected = np.array([float(cell) for cell in cells]).reshape(-1, k)
     assert probs.tobytes() == expected.tobytes()
+
+
+def float32_export(path: Path) -> None:
+    """A softmax export printed as float32, so the mass policy renormalizes most rows."""
+    data = generate(SyntheticSpec(k=9, seed=3), 200)
+    rows = ["sample_id,true_label," + ",".join(f"p_{j}" for j in range(9))]
+    rows += [f"img{i},{label}," + ",".join(map(str, probs.astype(np.float32)))
+             for i, (label, probs) in enumerate(zip(data.labels.tolist(), data.probs))]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def named_labels(path: Path) -> ClassUniverse:
+    path.write_text("sample_id,true_label,p_0,p_1\na,cat,1,0\nb, dog ,0,1\nc,1,0,1\n")
+    return ClassUniverse(("cat", "dog"))
+
+
+def underscore_cell(path: Path) -> None:
+    """A spelling only ``float()`` reads: the C reader rejects it, and a second call reads all."""
+    path.write_text("sample_id,true_label,p_0,p_1\na,0,1_0e-1,0\nb,1,0,1\n")
+
+
+@pytest.mark.parametrize("make, calls", [
+    (float32_export, 1),
+    (lambda path: write_dataset(generate(SyntheticSpec(k=4, seed=5), 50), path), 1),
+    (named_labels, 1),
+    (underscore_cell, 2),
+], ids=["float32-export", "write_dataset", "class-names", "underscore-cell"])
+def test_a_file_the_row_check_accepts_is_read_by_the_c_reader_alone(tmp_path, make, calls):
+    path = tmp_path / "d.csv"
+    universe = make(path)
+    spied = {"loadtxt": 0, "_first_bad_row": 0}
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            spied[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        patch.setattr(cgio, "_first_bad_row", counted("_first_bad_row", cgio._first_bad_row))
+        result = outcome(_load_csv, path, universe)
+    assert spied == {"loadtxt": calls, "_first_bad_row": 0}
+    assert result[0][0] == "ok"
+    assert result == outcome(load_csv_rows, path, universe)

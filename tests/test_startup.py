@@ -151,6 +151,22 @@ def test_a_command_loads_the_layers_it_runs(files):
         assert frozen > 0
 
 
+# Whether a command imported hashlib, which loads OpenSSL: only the digests
+# of an artifact's input and universe need it.
+HASHLIB_PROBE = """
+import json, sys
+from conformal_gate.cli import main
+print(json.dumps([main(sys.argv[1:]), "hashlib" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command, hashes", [
+    ("evaluate_sets", False), ("simulate", False), ("calibrate", True),
+])
+def test_only_a_command_that_digests_loads_hashlib(files, command, hashes):
+    assert run_probe(HASHLIB_PROBE, *command_argv(command, files)) == [0, hashes]
+
+
 def test_main_with_argv_leaves_the_collector_alone(files):
     before = gc.get_freeze_count()
     assert main(command_argv("calibrate", files)) == 0
