@@ -103,29 +103,21 @@ def read_json(path: str | Path, what: str) -> Any:
         raise ParseError(f"malformed {what} {path}: {exc}") from exc
 
 
-_scan_json = json.JSONDecoder().scan_once
-
-
 def _json_lines(text: str) -> Iterator[tuple[int, Any]]:
-    """Each non-blank line of a JSON-lines text, parsed, with its 1-based line number.
+    """Each non-blank line of a JSON-lines text, decoded by ``json.loads``, and its 1-based line.
 
     Lines end at LF only: U+0085, U+2028 and U+2029 may stand unescaped in a
-    JSON string, and ``str.splitlines`` would break the line there.
+    JSON string, and ``str.splitlines`` would break the line there.  Each line
+    is decoded when it is reached: a caller that stops at a bad record never
+    decodes the lines after it.
     """
     for line, row in enumerate(text.split("\n"), start=1):
         if not row.strip():
             continue
-        value = row.strip(" \t")  # the JSON whitespace a line can hold: it has no CR or LF
         try:
-            obj, end = _scan_json(value, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(value):  # not one JSON value: json.loads words the error
-            try:
-                obj = json.loads(row)
-            except (ValueError, RecursionError) as exc:  # an integer over 4300 digits too
-                raise ParseError(f"bad JSON: {exc}", line=line) from exc
-        yield line, obj
+            yield line, json.loads(row)
+        except (ValueError, RecursionError) as exc:  # an integer over 4300 digits too
+            raise ParseError(f"bad JSON: {exc}", line=line) from exc
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -183,7 +175,10 @@ def load_universe(path: str | Path) -> ClassUniverse:
             f"malformed classes file {path}: the indices of {len(pairs)} classes"
             f" are not 0..{len(pairs) - 1}, each used once"
         )
-    return ClassUniverse(tuple(names[i] for i in range(len(pairs))))
+    try:
+        return ClassUniverse(tuple(names[i] for i in range(len(pairs))))
+    except DataError as exc:  # fewer than 2 classes, or a name used twice
+        raise ParseError(f"malformed classes file {path}: {exc}") from exc
 
 
 def universe_digest(universe: ClassUniverse) -> str:
@@ -213,11 +208,11 @@ def _resolve_label(raw: str | int, universe: ClassUniverse, line: int | None) ->
     if isinstance(raw, int):
         index = raw
     else:
-        text = str(raw).strip()
+        text = str(raw)
         try:
-            index = int(text)
+            index = int(text)  # not int(text.strip()): str.strip also drops U+001C-U+001F
         except ValueError:
-            resolved = universe.index_of(text)
+            resolved = universe.index_of(text.strip())
             if resolved is None:
                 raise UnknownLabelError(f"unknown class label {text!r}", line=line)
             return resolved
@@ -280,9 +275,10 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
     if not lines:
         raise ParseError("empty file: missing header", line=1)
     header = lines[0].split(",")
-    if len(header) < 3 or header[0] != "sample_id" or header[1] != "true_label":
+    if len(header) < 4 or header[0] != "sample_id" or header[1] != "true_label":
         raise ParseError("unexpected UTF-8 byte-order mark (BOM)" if header[0][:1] == "\ufeff"
-                         else "header must be sample_id,true_label,p_0,...,p_{K-1}", line=1)
+                         else "header must be sample_id,true_label,p_0,...,p_{K-1} with K >= 2",
+                         line=1)
     if universe is None:
         universe = ClassUniverse.generic(len(header) - 2)
     rows, numbers = lines[1:], range(2, len(lines) + 1)
@@ -376,7 +372,10 @@ def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
             except OverflowError as exc:
                 raise ParseError(f"probs entry out of float range: {exc}", line=offset) from exc
             if universe is None:
-                universe = ClassUniverse.generic(len(row))
+                try:
+                    universe = ClassUniverse.generic(len(row))
+                except DataError as exc:
+                    raise ParseError(str(exc), line=offset) from exc  # fewer than 2 probs
             label = _resolve_label(raw_label, universe, offset)
             _check_width(len(row), universe, offset)
             ids.append(sample_id)
@@ -517,10 +516,11 @@ def _written_predictions(text: str, k: int) -> PredictionSets | None:
 def load_predictions(path: str | Path, k: int) -> PredictionSets:
     """Read prediction JSONL into sets over k classes.
 
+    A file in the layout :func:`write_predictions` writes is read in one pass.
+    Any other is read line by line, each record checked once as it is decoded:
     ``members`` that is not a JSON array, a member that is not an int in
-    [0, k) (bools included), or a ``set_size`` other than the count of
-    distinct members, is a ParseError with its line.  A file in the layout
-    :func:`write_predictions` writes is read in one pass, any other line by line.
+    [0, k) (bools included), a ``set_size`` other than the count of distinct
+    members, or a line that is not JSON, is a ParseError with its line.
     """
     from .predictor import PredictionSets
 
@@ -528,24 +528,9 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
     sets = _written_predictions(text, k)
     if sets is not None:
         return sets
-    records: list[tuple[int, Any]] = []
-    try:
-        for record in _json_lines(text):
-            records.append(record)
-    except ParseError:  # a bad record before the bad line comes first
-        _check_prediction_rows(records, k)
-        raise
-    _check_prediction_rows(records, k)
-    members = [obj["members"] for _, obj in records]
-    mask = np.zeros((len(records), k), dtype=bool)
-    mask[np.repeat(np.arange(len(records)), list(map(len, members))),
-         np.fromiter(chain.from_iterable(members), np.intp)] = True
-    return PredictionSets([obj["sample_id"] for _, obj in records], mask)
-
-
-def _check_prediction_rows(records: list[tuple[int, Any]], k: int) -> None:
-    """Raise the ParseError, with its line, of the first bad decoded prediction record."""
-    for offset, obj in records:
+    ids: list[str] = []
+    all_members: list[list[int]] = []
+    for offset, obj in _json_lines(text):
         try:
             sample_id, members = obj["sample_id"], obj["members"]
         except (KeyError, TypeError) as exc:
@@ -557,13 +542,18 @@ def _check_prediction_rows(records: list[tuple[int, Any]], k: int) -> None:
         for m in members:
             if type(m) is not int or not 0 <= m < k:
                 raise ParseError(f"member {m!r} is not a class index in [0, {k})", line=offset)
-        size = len(set(members))
-        if "set_size" in obj and type(obj["set_size"]) is not int:
-            raise ParseError(f"set_size {obj['set_size']!r} is not a JSON integer", line=offset)
-        if "set_size" in obj and obj["set_size"] != size:
-            raise ParseError(
-                f"set_size {obj['set_size']!r} differs from the {size} members", line=offset
-            )
+        distinct = len(set(members))
+        size = obj.get("set_size", distinct)
+        if type(size) is not int:
+            raise ParseError(f"set_size {size!r} is not a JSON integer", line=offset)
+        if size != distinct:
+            raise ParseError(f"set_size {size!r} differs from the {distinct} members", line=offset)
+        ids.append(sample_id)
+        all_members.append(members)
+    mask = np.zeros((len(ids), k), dtype=bool)
+    mask[np.repeat(np.arange(len(ids)), list(map(len, all_members))),
+         np.fromiter(chain.from_iterable(all_members), np.intp)] = True
+    return PredictionSets(ids, mask)
 
 
 # ---------------------------------------------------------------------------

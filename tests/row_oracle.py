@@ -116,13 +116,12 @@ def validate_examples(examples: list[LabeledExample], k: int) -> list[Violation]
 
 
 def _resolve_label(raw: str, universe: ClassUniverse, line: int) -> int:
-    text = raw.strip()
     try:
-        index = int(text)
+        index = int(raw)
     except ValueError:
-        resolved = universe.index_of(text)
+        resolved = universe.index_of(raw.strip())
         if resolved is None:
-            raise UnknownLabelError(f"unknown class label {text!r}", line=line)
+            raise UnknownLabelError(f"unknown class label {raw!r}", line=line)
         return resolved
     if not 0 <= index < universe.k:
         raise UnknownLabelError(f"class index {index} outside [0, {universe.k})", line=line)
@@ -136,8 +135,9 @@ def load_csv_rows(path, universe: ClassUniverse | None) -> Dataset:
     if not lines:
         raise ParseError("empty file: missing header", line=1)
     header = lines[0].split(",")
-    if len(header) < 3 or header[0] != "sample_id" or header[1] != "true_label":
-        raise ParseError("header must be sample_id,true_label,p_0,...,p_{K-1}", line=1)
+    if len(header) < 4 or header[0] != "sample_id" or header[1] != "true_label":
+        raise ParseError("header must be sample_id,true_label,p_0,...,p_{K-1} with K >= 2",
+                         line=1)
     if universe is None:
         universe = ClassUniverse.generic(len(header) - 2)
     ids, labels, values, numbers = [], [], [], []
