@@ -5,20 +5,20 @@ error.  Every command is deterministic given its flags (all randomness is
 seeded explicitly), and output files are written atomically.  The
 ``CONFORMAL_GATE_LOG`` environment variable sets the log level (DEBUG,
 INFO, WARNING, ERROR; default WARNING, also for any other value).
+
+``--help`` and usage errors need only argparse: numpy, the layers,
+``logging``, ``json`` and ``pathlib`` load only once a command's arguments
+have passed the usage checks.  A command still loads all of them, so its
+start-up is as before; only ``--help`` and usage errors answer sooner.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
-import logging
 import math
 import os
 import sys
-from pathlib import Path
-
-logger = logging.getLogger("conformal_gate.cli")
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -96,7 +96,7 @@ def cmd_calibrate(args) -> int:
         "input_sha256": cgio.file_digest(args.input),
         "universe_sha256": cgio.universe_digest(dataset.universe),
     }
-    cgio.write_atomic(args.out, json.dumps(artifact, indent=2) + "\n")
+    cgio.write_json(args.out, artifact)
     if args.curve:
         cgio.write_curve(export_calibration_curve(result), args.curve)
     shown = "all_inclusive" if result.is_all_inclusive else f"{result.threshold:.6f}"
@@ -134,7 +134,9 @@ def _read_artifact(path: str, universe) -> float:
         )
     recorded = artifact.get("universe_sha256")
     if recorded and recorded != cgio.universe_digest(universe):
-        logger.warning(
+        import logging
+
+        logging.getLogger("conformal_gate.cli").warning(
             "test file universe differs from the one used at calibration; "
             "proceeding with the artifact threshold"
         )
@@ -188,13 +190,12 @@ def cmd_simulate(args) -> int:
         alpha=Alpha(args.alpha),
         n_seeds=args.seeds,
     )
-    cgio.write_atomic(args.out, json.dumps(result.to_json_obj(), indent=2) + "\n")
+    cgio.write_json(args.out, result.to_json_obj())
     if args.write_data:
-        out_dir = Path(args.write_data)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.write_data, exist_ok=True)
         calib, test = trial_data(spec, args.seeds - 1, args.n_calib, args.n_test)
-        cgio.write_dataset(calib, out_dir / "calibration.csv")
-        cgio.write_dataset(test, out_dir / "test.csv")
+        cgio.write_dataset(calib, os.path.join(args.write_data, "calibration.csv"))
+        cgio.write_dataset(test, os.path.join(args.write_data, "test.csv"))
     print(
         f"coverage over {args.seeds} seeds: mean={result.mean:.4f} std={result.std:.4f}"
         f" min={result.min:.4f} max={result.max:.4f} (target {1 - args.alpha:.4f})"
@@ -211,6 +212,8 @@ _COMMANDS = {
 
 
 def _configure_logging() -> None:
+    import logging  # here, not at the top: --help and usage errors skip loading it
+
     level = getattr(logging, os.environ.get("CONFORMAL_GATE_LOG", "WARNING").upper(), None)
     if not isinstance(level, int):  # an unknown name, or a non-level such as BASIC_FORMAT
         level = logging.WARNING
@@ -221,9 +224,10 @@ def _import_layers(command: str) -> None:
     """Bind the layer names that ``command`` uses.
 
     They load here, after argument parsing and the usage checks, so
-    ``--help`` and usage errors never import numpy, and a command imports
-    only the layers it runs.  They stay module globals, rebound on every
-    call, where the benchmark's tracer finds and wraps them.
+    ``--help`` and usage errors never import numpy, ``logging`` or
+    ``json``, and a command imports only the layers it runs.  They stay
+    module globals, rebound on every call, where the benchmark's tracer
+    finds and wraps them.
     """
     global cgio, ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve, DataError
     global evaluate, predict_batch, SyntheticSpec, coverage_trial, trial_data
@@ -246,11 +250,11 @@ def main(argv: list[str] | None = None) -> int:
     so the collector traverses it neither during the command nor at exit.
     A caller that passes ``argv`` keeps its collector as it was.
     """
-    _configure_logging()
     args = _build_parser().parse_args(argv)
     if args.command == "evaluate" and not args.calibration and not args.predictions:
         print("error: evaluate needs --calibration or --predictions", file=sys.stderr)
         return EXIT_USAGE
+    _configure_logging()
     _import_layers(args.command)
     if argv is None:
         gc.freeze()

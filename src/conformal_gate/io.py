@@ -148,6 +148,11 @@ def write_atomic(path: str | Path, text: str) -> None:
         os.close(directory)
 
 
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write ``obj`` as JSON indented by 2, and a newline, with :func:`write_atomic`."""
+    write_atomic(path, json.dumps(obj, indent=2) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # class universe
 
@@ -212,7 +217,9 @@ def _resolve_label(raw: str | int, universe: ClassUniverse, line: int | None) ->
         try:
             index = int(text)  # not int(text.strip()): str.strip also drops U+001C-U+001F
         except ValueError:
-            resolved = universe.index_of(text.strip())
+            resolved = universe.index_of(text)
+            if resolved is None:
+                resolved = universe.index_of(text.strip())
             if resolved is None:
                 raise UnknownLabelError(f"unknown class label {text!r}", line=line)
             return resolved

@@ -119,7 +119,9 @@ def _resolve_label(raw: str, universe: ClassUniverse, line: int) -> int:
     try:
         index = int(raw)
     except ValueError:
-        resolved = universe.index_of(raw.strip())
+        resolved = universe.index_of(raw)
+        if resolved is None:
+            resolved = universe.index_of(raw.strip())
         if resolved is None:
             raise UnknownLabelError(f"unknown class label {raw!r}", line=line)
         return resolved

@@ -1,10 +1,10 @@
 """Bad input files through the CLI, against a manifest of exit codes and stderr.
 
 Each case in ``data/bad_inputs.json`` is an input file's name and text and
-the command that reads it: ``calibrate`` on a dataset JSONL, ``evaluate
---predictions`` on a prediction JSONL over the three-class ``d.csv`` below,
-or, for the label and class-universe cases, ``calibrate`` on a CSV or with a
-classes.json.  The command must exit with the recorded code and print the
+the command that reads it: ``calibrate`` on a dataset JSONL or a dataset
+CSV, ``evaluate --predictions`` on a prediction JSONL over the three-class
+``d.csv`` below, or ``calibrate`` with a classes.json.  Files that are not
+UTF-8 cannot be held in the manifest's text; ``test_io.py`` covers them.  The command must exit with the recorded code and print the
 recorded stderr.  Where Python words the end of a message itself (a JSON
 decode error, the recursion depth or digit limit, a TypeError), ``prefix``
 is set and the recorded stderr stops where Python's part begins.  A command

@@ -79,6 +79,19 @@ class TestLoadCsv:
         with pytest.raises(UnknownLabelError, match="line 2"):
             load_probabilities(path, universe=universe)
 
+    def test_a_padded_class_name_is_matched_as_written_first(self, tmp_path):
+        universe = ClassUniverse((" cat ", "dog", "cow", " cow"))
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "sample_id,true_label,p_0,p_1,p_2,p_3\n"
+            "a, cat ,0.25,0.25,0.25,0.25\n"
+            "b, dog\t,0.25,0.25,0.25,0.25\n"
+            "c, cow,0.25,0.25,0.25,0.25\n"
+            "d,cow ,0.25,0.25,0.25,0.25\n"
+        )
+        d = load_probabilities(path, universe=universe)
+        assert d.labels.tolist() == [0, 1, 3, 2]
+
     def test_bad_probability_value_cites_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("sample_id,true_label,p_0,p_1\nx,0,0.5,0.5\ny,1,oops,0.5\n")
@@ -143,6 +156,15 @@ class TestLoadJsonl:
         )
         d = load_probabilities(path, universe=universe)
         assert d.labels[0] == 1
+
+    def test_a_padded_class_name_is_matched_as_written_first(self, tmp_path):
+        universe = ClassUniverse((" cat ", "dog", "cow", " cow"))
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(
+            json.dumps({"sample_id": i, "true_label": label, "probs": [0.25] * 4}) + "\n"
+            for i, label in zip("abcd", [" cat ", " dog\t", " cow", "cow "])))
+        d = load_probabilities(path, universe=universe)
+        assert d.labels.tolist() == [0, 1, 3, 2]
 
     def test_bad_json_cites_line(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -24,18 +24,26 @@ from conformal_gate.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Calls ``main()`` as the console script does, then prints its exit code,
-# the numpy and conformal_gate modules loaded by then and the collector's
-# freeze count, as the last line of stdout.
+# the numpy and conformal_gate modules loaded by then, the collector's
+# freeze count, which of logging, json and pathlib the call added to those
+# loaded at the probe's start, and which of them were loaded already, as
+# the last line of stdout.  The difference is taken because ``site`` may
+# load pathlib (a ``.pth`` hook can), and the probe imports json only after
+# it has looked.
 CLI_PROBE = """
-import gc, json, sys
+import gc, sys
+start = set(sys.modules)
 from conformal_gate.cli import main
 try:
     code = main()
 except SystemExit as exc:
     code = exc.code
+added = [m for m in ("logging", "json", "pathlib") if m in sys.modules and m not in start]
+preloaded = [m for m in ("logging", "json", "pathlib") if m in start]
+import json
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.partition(".")[0] in ("numpy", "conformal_gate")),
-                  gc.get_freeze_count()]))
+                  gc.get_freeze_count(), added, preloaded]))
 """
 
 # Imports the package, then resolves its names lazily, then by ``import *``.
@@ -125,10 +133,13 @@ def command_argv(command: str, work: Path) -> list[str]:
     (["evaluate", "--input", "t.csv", "--out-json", "r.json", "--out-csv", "r.csv"], 3),
 ])
 def test_parser_path_loads_no_numpy_and_no_layer(argv, exit_code):
-    code, loaded, frozen = run_probe(CLI_PROBE, *argv)
+    code, loaded, frozen, added, preloaded = run_probe(CLI_PROBE, *argv)
     assert code == exit_code
     assert loaded == ["conformal_gate", "conformal_gate.cli"]
     assert frozen == 0  # returned before the freeze
+    assert added == []  # no logging, json or pathlib either
+    if {"logging", "json"} & set(preloaded):
+        pytest.skip(f"the interpreter loaded {preloaded} before the probe; added shows nothing")
 
 
 CALIBRATE_LAYERS = ("io", "calibration", "core_types")
@@ -143,7 +154,7 @@ LAYERS_RUN = {
 
 def test_a_command_loads_the_layers_it_runs(files):
     for command, layers in LAYERS_RUN.items():
-        code, loaded, frozen = run_probe(CLI_PROBE, *command_argv(command, files))
+        code, loaded, frozen, _, _ = run_probe(CLI_PROBE, *command_argv(command, files))
         assert code == 0
         assert "numpy" in loaded
         assert [m for m in loaded if not m.startswith("numpy")] == sorted(
@@ -202,6 +213,23 @@ def test_console_entry_and_main_argv_give_the_same_results(tmp_path, rows, argv,
     code, _, stderr, _ = results[0]
     assert code == exit_code
     assert stderr_has in stderr
+
+
+MISMATCH = ("WARNING conformal_gate.cli: test file universe differs from the one used at"
+            " calibration; proceeding with the artifact threshold\n")
+
+
+# The artifact was calibrated without names; these three differ from the
+# default ones, so the universe digests differ while k agrees.
+@pytest.mark.parametrize("log, stderr", [(None, MISMATCH), ("error", "")])
+def test_console_entry_prints_the_universe_mismatch_warning(files, tmp_path, log, stderr):
+    (tmp_path / "classes.json").write_text(
+        '[{"index": 0, "name": "a"}, {"index": 1, "name": "b"}, {"index": 2, "name": "c"}]')
+    done = run_child(CONSOLE, "predict", "--calibration", str(files / "artifact.json"),
+                     "--input", str(files / "test.csv"), "--classes", "classes.json",
+                     "--out", "sets.jsonl", cwd=tmp_path, log=log)
+    assert done.returncode == 0
+    assert done.stderr == stderr
 
 
 # BASIC_FORMAT is an upper-case attribute of ``logging`` that is no level.
