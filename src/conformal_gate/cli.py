@@ -212,12 +212,18 @@ _COMMANDS = {
 
 
 def _configure_logging() -> None:
+    """Log at this call's level to its ``sys.stderr``, unless the caller gave root handlers."""
     import logging  # here, not at the top: --help and usage errors skip loading it
 
     level = getattr(logging, os.environ.get("CONFORMAL_GATE_LOG", "WARNING").upper(), None)
     if not isinstance(level, int):  # an unknown name, or a non-level such as BASIC_FORMAT
         level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    root = logging.getLogger()
+    for handler in [h for h in root.handlers if h.name == "conformal_gate.cli"]:
+        root.removeHandler(handler)  # an earlier call's, with its level and stderr
+    if not root.handlers:
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        root.handlers[0].set_name("conformal_gate.cli")
 
 
 def _import_layers(command: str) -> None:
@@ -246,18 +252,21 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     With ``argv`` None, as the console script calls it, this call owns the
-    process: once the layers have loaded, the import-time heap is frozen,
-    so the collector traverses it neither during the command nor at exit.
-    A caller that passes ``argv`` keeps its collector as it was.
+    process: the collector is off while the layers load, then their heap
+    is frozen, so the collector traverses it neither during the command nor
+    at exit.  A caller that passes ``argv`` keeps its collector as it was.
     """
     args = _build_parser().parse_args(argv)
     if args.command == "evaluate" and not args.calibration and not args.predictions:
         print("error: evaluate needs --calibration or --predictions", file=sys.stderr)
         return EXIT_USAGE
+    if argv is None:
+        gc.disable()
     _configure_logging()
     _import_layers(args.command)
     if argv is None:
         gc.freeze()
+        gc.enable()
     try:
         return _COMMANDS[args.command](args)
     except DataError as exc:

@@ -5,8 +5,9 @@ Formats (UTF-8, LF line endings, ``.`` decimal separator):
 * dataset CSV    - header ``sample_id,true_label,p_0,...,p_{K-1}``; labels
   may be class indices or class names resolvable via the universe.  One
   ``np.loadtxt`` call returns every row's raw id and label strings and the
-  (n, K) matrix, and rejects a row of any other width; a file it rejects
-  is read row by row for the line of its first bad row;
+  (n, K) matrix, and rejects a row of any other width; a file it rejects,
+  or one holding a U+001F, is read row by row with ``float()``, to the same
+  bits, up to its first bad row;
 * dataset JSONL  - one ``{"sample_id", "true_label", "probs": [...]}``
   object per line; the id is a JSON string, probs an array of numbers;
 * prediction JSONL - one ``{"sample_id", "members", "set_size"}`` object per
@@ -278,7 +279,9 @@ def load_probabilities(path: str | Path, universe: ClassUniverse | None = None) 
 
 
 def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
-    lines = _read_text(path).splitlines()
+    text = _read_text(path)
+    c_reader, lines = "\x1f" not in text, text.splitlines()
+    del text  # its lines hold the same characters: one copy is enough while they are parsed
     if not lines:
         raise ParseError("empty file: missing header", line=1)
     header = lines[0].split(",")
@@ -292,70 +295,56 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
     if not all(map(str.strip, rows)):
         numbers = [n for n, row in zip(numbers, rows) if row.strip()]
         rows = [lines[n - 1] for n in numbers]
-    try:
-        columns, error = _csv_columns(rows, universe), None
-    except ValueError:
-        stop, error = _first_bad_row(rows, numbers, universe, len(header))
-        rows, numbers = rows[:stop], numbers[:stop]
-        columns = _csv_columns(rows, universe)
+    columns, error = _csv_columns(rows, numbers, universe, len(header), c_reader)
     return _checked(Dataset(universe, *columns, lines=numbers), numbers, error)
 
 
 def _csv_columns(
-    rows: list[str], universe: ClassUniverse
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Ids, label indices and the (n, K) matrix of non-blank CSV rows.
+    rows: list[str], lines: Sequence[int], universe: ClassUniverse, width: int, c_reader: bool
+) -> tuple[tuple[list[str], Any, np.ndarray], DataError | None]:
+    """Ids, labels and the (n, K) matrix of the rows before the first bad one, and its error.
 
-    One call of numpy's C reader splits each row into its raw id and label
-    strings and its K numbers, and rejects a row of any other width.  A cell
-    that reader rejects, or a U+001F it would strip, has every number read
-    with ``float()`` instead, to the same bits.  Raises ValueError, with no
-    line, when :func:`_first_bad_row` would reject any row; the caller then
-    asks it which row.
+    ``rows`` are the non-blank CSV rows, ``lines`` their 1-based lines.  One
+    call of numpy's C reader splits each row into its raw id and label
+    strings and its K numbers, and rejects a row of any other width.  When it
+    rejects a row, a cell or a label, or ``c_reader`` is false (the text holds
+    a U+001F, which it strips around a cell), one loop reads each row with
+    ``float()``, to the same bits, checking its field count (``width`` is the
+    header's), probability count, label and values in that order.
     """
     k = universe.k
-    if not rows:  # loadtxt warns on no data
-        return [], np.empty(0, np.int64), np.empty((0, k))
-    # labels stay strings: the C reader would strip U+001F around an int64 too
-    options = dict(dtype=[("id", object), ("label", object), ("p", np.float64, (k,))],
-                   delimiter=",", comments=None, ndmin=1, encoding=None)
-    retry = dict.fromkeys(range(2, k + 2), float)
-    converters = retry if "\x1f" in "".join(rows) else None
-    try:
-        table = np.loadtxt(rows, converters=converters, **options)
-    except ValueError:  # a spelling only float() reads, such as 1_0 or Unicode digits
-        table = np.loadtxt(rows, converters=retry, **options)
-    try:
-        labels = table["label"].astype(np.int64)  # int() of each string
-    except (ValueError, OverflowError):  # class names, or beyond int64
-        labels = np.array([_resolve_label(raw, universe, None) for raw in table["label"]])
-    if not (labels.min() >= 0 and labels.max() < k):
-        raise ValueError("a label is outside [0, K)")
-    return table["id"].tolist(), labels, table["p"]
-
-
-def _first_bad_row(
-    rows: list[str], lines: Sequence[int], universe: ClassUniverse, width: int
-) -> tuple[int, DataError]:
-    """The index of the first row :func:`_csv_columns` rejects, and its error.
-
-    ``width`` is the header's field count.  Each row is checked in a fixed
-    order: field count, probability count, label, probability values.
-    """
-    for i, (row, line) in enumerate(zip(rows, lines)):
+    if c_reader and rows:  # loadtxt warns on no data
+        # labels stay strings: the C reader would strip U+001F around an int64 too
+        dtype = [("id", object), ("label", object), ("p", np.float64, (k,))]
+        try:
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                               encoding=None)
+            try:
+                labels = table["label"].astype(np.int64)  # int() of each string
+            except (ValueError, OverflowError):  # class names, or beyond int64
+                labels = np.array([_resolve_label(raw, universe, None) for raw in table["label"]])
+            if labels.min() >= 0 and labels.max() < k:
+                return (table["id"].tolist(), labels, table["p"]), None
+        except ValueError:  # a bad row or label, or a spelling only float() reads, such as 1_0
+            pass
+    ids, labels, values, error = [], [], [], None
+    for row, line in zip(rows, lines):
         fields = row.split(",")
         try:
             if len(fields) < 3:
                 raise ParseError(f"expected {width} fields, got {len(fields)}", line=line)
             _check_width(len(fields) - 2, universe, line)
-            _resolve_label(fields[1], universe, line)
+            label = _resolve_label(fields[1], universe, line)
             try:
-                list(map(float, fields[2:]))
+                values.extend([float(v) for v in fields[2:]])
             except ValueError as exc:
                 raise ParseError(f"bad probability value: {exc}", line=line) from exc
         except DataError as exc:
-            return i, exc
-    raise AssertionError("the bulk CSV parse rejected rows the row check accepts")
+            error = exc
+            break
+        ids.append(fields[0])
+        labels.append(label)
+    return (ids, labels, np.array(values).reshape(len(ids), k)), error
 
 
 def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:

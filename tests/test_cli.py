@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import logging
 
 import pytest
 
@@ -467,6 +470,30 @@ class TestSimulateCommand:
         assert run("evaluate", "--calibration", str(artifact), "--input", str(out_dir / "test.csv"),
                    "--out-json", str(report), "--out-csv", str(tmp_path / "r.csv")) == 0
         assert json.loads(report.read_text())["marginal_coverage"] == per_seed[-1]
+
+
+class TestLogging:
+    def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path, monkeypatch):
+        """A library caller that configured no logging runs ``main(argv)`` four times."""
+        path = tmp_path / "d.csv"
+        path.write_text("sample_id,true_label,p_0,p_1\n"
+                        + "".join(f"s{i},{i % 2},0.5001,0.5\n" for i in range(4)))
+        root = logging.getLogger()
+        handlers, level = root.handlers[:], root.level
+        root.handlers.clear()
+        counts = []
+        try:
+            for name in ("WARNING", "WARNING", "ERROR", "WARNING"):
+                monkeypatch.setenv("CONFORMAL_GATE_LOG", name)
+                with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                    assert run("calibrate", "--input", str(path),
+                               "--out", str(tmp_path / "a.json")) == 0
+                counts.append(stderr.getvalue().count(
+                    "WARNING conformal_gate.core_types: renormalizing 4 probability vector(s)"))
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(level)
+        assert counts == [1, 1, 0, 1]
 
 
 class TestDeterminism:

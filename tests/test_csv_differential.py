@@ -7,12 +7,13 @@ labels and bit-identical probabilities; a file that fails must fail with the
 same exception type, message and line, after the same log messages.
 
 The bulk loader reads each row's id, label and numbers with one call of
-numpy's C reader and retries with ``float()`` converting the numbers; the
-pools hold cells on which the two part (``0.5#1``, NUL, U+001F, hex floats,
-Unicode digits), ids and labels the C reader might strip or convert
-differently from ``str.split`` and ``int()``, and rows with a trailing comma.
-The spellings the writers produce, and files labelled by class name, must
-load through one C reader call.
+numpy's C reader; a file it rejects, or one holding a U+001F, is read by one
+row loop with ``float()`` up to its first bad row.  The pools hold cells on
+which the two part (``0.5#1``, NUL, U+001F, hex floats, Unicode digits), ids
+and labels the C reader might strip or convert differently from
+``str.split`` and ``int()``, and rows with a trailing comma.  The spellings
+the writers produce, and files labelled by class name, must load through one
+C reader call and no row loop.
 """
 
 from __future__ import annotations
@@ -141,22 +142,32 @@ def test_each_id_label_and_width_in_an_otherwise_good_file_matches_the_row_loade
 WRITTEN = st.one_of(st.floats().map(repr), st.floats(width=32).map(lambda v: str(np.float32(v))))
 
 
+def spied(call):
+    """What ``call()`` gives, its ``np.loadtxt`` calls and the CSV rows it checks one by one."""
+    counts = {"loadtxt": 0, "rows": 0}
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        patch.setattr(cgio, "_check_width", counted("rows", cgio._check_width))
+        result = call()
+    return result, counts["loadtxt"], counts["rows"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 5), st.lists(WRITTEN, min_size=1, max_size=16))
 def test_written_spellings_load_bit_exactly_through_one_c_reader_call(k, cells):
     cells = cells + ["0"] * (-len(cells) % k)
     rows = [f"s{i},0," + ",".join(cells[i:i + k]) for i in range(0, len(cells), k)]
-    calls = []
-    loadtxt = np.loadtxt
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return loadtxt(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "loadtxt", spy)
-        _, _, probs = _csv_columns(rows, ClassUniverse.generic(k))
-    assert [kwargs.get("converters") for kwargs in calls] == [None]
+    lines = range(2, len(rows) + 2)
+    ((_, _, probs), error), calls, checked = spied(
+        lambda: _csv_columns(rows, lines, ClassUniverse.generic(k), k + 2, True))
+    assert (error, calls, checked) == (None, 1, 0)
     expected = np.array([float(cell) for cell in cells]).reshape(-1, k)
     assert probs.tobytes() == expected.tobytes()
 
@@ -176,31 +187,54 @@ def named_labels(path: Path) -> ClassUniverse:
 
 
 def underscore_cell(path: Path) -> None:
-    """A spelling only ``float()`` reads: the C reader rejects it, and a second call reads all."""
+    """A spelling only ``float()`` reads: the C reader rejects it, and the row loop reads all."""
     path.write_text("sample_id,true_label,p_0,p_1\na,0,1_0e-1,0\nb,1,0,1\n")
 
 
-@pytest.mark.parametrize("make, calls", [
-    (float32_export, 1),
-    (lambda path: write_dataset(generate(SyntheticSpec(k=4, seed=5), 50), path), 1),
-    (named_labels, 1),
-    (underscore_cell, 2),
+@pytest.mark.parametrize("make, calls, checked", [
+    (float32_export, 1, 0),
+    (lambda path: write_dataset(generate(SyntheticSpec(k=4, seed=5), 50), path), 1, 0),
+    (named_labels, 1, 0),
+    (underscore_cell, 1, 2),
 ], ids=["float32-export", "write_dataset", "class-names", "underscore-cell"])
-def test_a_file_the_row_check_accepts_is_read_by_the_c_reader_alone(tmp_path, make, calls):
+def test_a_file_the_row_check_accepts_is_read_by_the_c_reader_alone(tmp_path, make, calls,
+                                                                    checked):
     path = tmp_path / "d.csv"
     universe = make(path)
-    spied = {"loadtxt": 0, "_first_bad_row": 0}
-
-    def counted(name, function):
-        def spy(*args, **kwargs):
-            spied[name] += 1
-            return function(*args, **kwargs)
-        return spy
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
-        patch.setattr(cgio, "_first_bad_row", counted("_first_bad_row", cgio._first_bad_row))
-        result = outcome(_load_csv, path, universe)
-    assert spied == {"loadtxt": calls, "_first_bad_row": 0}
+    result, *counts = spied(lambda: outcome(_load_csv, path, universe))
+    assert counts == [calls, checked]
     assert result[0][0] == "ok"
     assert result == outcome(load_csv_rows, path, universe)
+
+
+GOOD_ROWS = "a,0,0.25,0.75\nb,1,0.5,0.5\nc,1,0.125,0.875\n"
+
+
+@pytest.mark.parametrize("last, calls", [
+    ("d,0,0.5,abc", 1),
+    ("d,7,0.5,0.5", 1),
+    ("d,0,0.5", 1),
+    ("d,0,0.5,\x1f0.5", 0),  # the C reader would strip the U+001F: it is not called
+], ids=["bad-last-cell", "bad-last-label", "short-last-row", "u001f-cell"])
+def test_a_file_the_c_reader_rejects_is_read_by_one_row_pass_to_its_first_bad_row(
+        tmp_path, last, calls):
+    path = tmp_path / "d.csv"
+    path.write_text("sample_id,true_label,p_0,p_1\n" + GOOD_ROWS + last + "\n",
+                    encoding="utf-8")
+    result, *counts = spied(lambda: outcome(_load_csv, path, None))
+    assert counts == [calls, 4]
+    assert result == outcome(load_csv_rows, path, None)
+
+
+def test_a_u001f_in_the_header_only_gives_the_c_readers_bits(tmp_path):
+    """The text is tested for U+001F once, so the header's sends the rows to the row loop."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    float32_export(plain)
+    text = plain.read_text(encoding="utf-8")
+    marked.write_text(text.replace("p_8", "p\x1f8", 1), encoding="utf-8")
+    c_read, *c_counts = spied(lambda: outcome(_load_csv, plain, None))
+    row_read, *row_counts = spied(lambda: outcome(_load_csv, marked, None))
+    assert c_counts == [1, 0]
+    assert row_counts == [0, 200]
+    assert c_read[0][0] == "ok"
+    assert row_read == c_read

@@ -1,8 +1,9 @@
 """Start-up and exit: what each invocation imports, and where the heap is frozen.
 
 Help, usage errors and the package import load no numpy; a command loads
-only the layers it runs; the console entry, ``main()``, freezes the
-import-time heap, and ``main(argv)`` leaves the collector alone.  Most
+only the layers it runs; the console entry, ``main()``, turns the collector
+off while the layers load, freezes the import-time heap and turns the
+collector back on for the command, and ``main(argv)`` leaves it alone.  Most
 checks run in a fresh interpreter, since this test session has long since
 imported numpy and every layer.
 """
@@ -26,16 +27,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Calls ``main()`` as the console script does, then prints its exit code,
 # the numpy and conformal_gate modules loaded by then, the collector's
 # freeze count, which of logging, json and pathlib the call added to those
-# loaded at the probe's start, and which of them were loaded already, as
-# the last line of stdout.  The difference is taken because ``site`` may
-# load pathlib (a ``.pth`` hook can), and the probe imports json only after
-# it has looked.
+# loaded at the probe's start, which of them were loaded already, and
+# whether the collector was enabled as each command body ran, as the last
+# line of stdout.  The difference is taken because ``site`` may load
+# pathlib (a ``.pth`` hook can), and the probe imports json only after it
+# has looked.
 CLI_PROBE = """
 import gc, sys
 start = set(sys.modules)
-from conformal_gate.cli import main
+from conformal_gate import cli
+enabled = []
+def spy(command):
+    return lambda args: enabled.append(gc.isenabled()) or command(args)
+cli._COMMANDS.update({name: spy(command) for name, command in cli._COMMANDS.items()})
 try:
-    code = main()
+    code = cli.main()
 except SystemExit as exc:
     code = exc.code
 added = [m for m in ("logging", "json", "pathlib") if m in sys.modules and m not in start]
@@ -43,7 +49,7 @@ preloaded = [m for m in ("logging", "json", "pathlib") if m in start]
 import json
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.partition(".")[0] in ("numpy", "conformal_gate")),
-                  gc.get_freeze_count(), added, preloaded]))
+                  gc.get_freeze_count(), added, preloaded, enabled]))
 """
 
 # Imports the package, then resolves its names lazily, then by ``import *``.
@@ -133,10 +139,11 @@ def command_argv(command: str, work: Path) -> list[str]:
     (["evaluate", "--input", "t.csv", "--out-json", "r.json", "--out-csv", "r.csv"], 3),
 ])
 def test_parser_path_loads_no_numpy_and_no_layer(argv, exit_code):
-    code, loaded, frozen, added, preloaded = run_probe(CLI_PROBE, *argv)
+    code, loaded, frozen, added, preloaded, enabled = run_probe(CLI_PROBE, *argv)
     assert code == exit_code
     assert loaded == ["conformal_gate", "conformal_gate.cli"]
     assert frozen == 0  # returned before the freeze
+    assert enabled == []  # and before any command body
     assert added == []  # no logging, json or pathlib either
     if {"logging", "json"} & set(preloaded):
         pytest.skip(f"the interpreter loaded {preloaded} before the probe; added shows nothing")
@@ -154,12 +161,13 @@ LAYERS_RUN = {
 
 def test_a_command_loads_the_layers_it_runs(files):
     for command, layers in LAYERS_RUN.items():
-        code, loaded, frozen, _, _ = run_probe(CLI_PROBE, *command_argv(command, files))
+        code, loaded, frozen, _, _, enabled = run_probe(CLI_PROBE, *command_argv(command, files))
         assert code == 0
         assert "numpy" in loaded
         assert [m for m in loaded if not m.startswith("numpy")] == sorted(
             ["conformal_gate", "conformal_gate.cli", *(f"conformal_gate.{m}" for m in layers)])
         assert frozen > 0
+        assert enabled == [True]  # off only while the layers load
 
 
 # Whether a command imported hashlib, which loads OpenSSL: only the digests
