@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 
@@ -124,8 +123,7 @@ def _read_artifact(path: str, universe) -> float:
     value = artifact["threshold"]
     if value == "all_inclusive":
         threshold = ALL_INCLUSIVE
-    elif (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value) and 0.0 <= value <= 1.0):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0:
         threshold = float(value)
     else:
         raise DataError(
@@ -248,6 +246,22 @@ def _import_layers(command: str) -> None:
         from .synth import SyntheticSpec, coverage_trial, trial_data
 
 
+def _shared_output(args) -> str | None:
+    """A message naming two outputs of ``args`` that resolve to one file, or None."""
+    outputs = {f"--{name.replace('_', '-')}": path for name, path in vars(args).items()
+               if name in ("out", "curve", "out_json", "out_csv") and path}
+    if getattr(args, "write_data", None):
+        for name in ("calibration.csv", "test.csv"):
+            outputs[f"--write-data's {name}"] = os.path.join(args.write_data, name)
+    seen: dict[str, str] = {}
+    for option, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            return f"{seen[real]} and {option} name one file: {path}"
+        seen[real] = option
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
@@ -259,6 +273,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "evaluate" and not args.calibration and not args.predictions:
         print("error: evaluate needs --calibration or --predictions", file=sys.stderr)
+        return EXIT_USAGE
+    shared = _shared_output(args)
+    if shared:
+        print(f"error: {shared}", file=sys.stderr)
         return EXIT_USAGE
     if argv is None:
         gc.disable()

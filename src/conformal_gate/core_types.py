@@ -18,8 +18,10 @@ sum where it can be, by ``math.fsum`` itself elsewhere):
 * anything else (including NaN/inf)  - left as-is and reported; values are
   never silently clamped or repaired.
 
-The same construction records every violation once, in ``violations``:
-validation is a lookup, never a second pass over the rows.
+One pass applies the policy and records every violation, in ``violations``:
+validation is a lookup, never a second pass over the rows.  ``math.fsum``
+runs on the rows an ``np.sum`` screen cannot clear, and again only on the
+renormalized rows with an entry outside [0, 1].
 """
 
 from __future__ import annotations
@@ -150,30 +152,32 @@ def _fsum_rows(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _near_one(probs: np.ndarray, tol: float) -> np.ndarray:
-    """Rows whose ``math.fsum`` is surely within ``tol`` of 1, judged by ``np.sum``.
+def _near_one(probs: np.ndarray) -> np.ndarray:
+    """Rows whose ``math.fsum`` is surely within NOOP_TOL of 1, judged by ``np.sum``.
 
     Only rows with every entry in [0, 1] are judged.  For them, with mass
     below 2, ``np.sum`` in any order and ``fsum`` differ by less than
     K * 2**-52: each is within (K - 1) * 2**-53 * mass and 2**-53 of the
     exact sum.  A row is cleared when ``|np.sum - 1|`` plus that margin stays
-    below ``tol / 2``; every other row is left to ``fsum``.
+    below ``NOOP_TOL / 2``; every other row is left to ``fsum``.
     """
     in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
     sums = np.sum(probs, axis=1, where=in_range[:, None])
-    return in_range & (np.abs(sums - 1.0) < tol / 2 - probs.shape[1] * 2.0**-52)
+    return in_range & (np.abs(sums - 1.0) < NOOP_TOL / 2 - probs.shape[1] * 2.0**-52)
 
 
-def _apply_mass_policy(probs: np.ndarray, lines: Sequence[int] | None) -> np.ndarray:
-    """Apply the probability-mass policy to the rows of ``probs`` in place.
+def _validate(
+    ids: tuple[str, ...], labels: np.ndarray, probs: np.ndarray, lines: Sequence[int] | None
+) -> tuple[Violation, ...]:
+    """Apply the probability-mass policy to ``probs`` in place; return every violation.
 
-    Returns, per row, the mass of a finite row still off unit mass by more
-    than SILENT_TOL after the policy, and NaN for every other row.  ``lines``
+    Violations come by row and then in a fixed order of checks.  ``lines``
     names rows by source line in the warning; without it rows are named by
-    0-based index.  ``math.fsum`` runs only on rows :func:`_near_one` cannot
-    clear.
+    0-based index.
     """
-    exact = np.isfinite(probs).all(axis=1) & ~_near_one(probs, NOOP_TOL)
+    k = probs.shape[1]
+    finite = np.isfinite(probs).all(axis=1)
+    exact = finite & ~_near_one(probs)
     masses = np.full(len(probs), np.nan)
     masses[exact] = _fsum_rows(probs[exact])
     deviation = np.abs(masses - 1.0)
@@ -188,17 +192,17 @@ def _apply_mass_policy(probs: np.ndarray, lines: Sequence[int] | None) -> np.nda
             warned.size, SILENT_TOL, where, ", ".join(map(str, first)),
         )
     probs[renormalize] /= masses[renormalize, None]
-    masses[renormalize] = np.nan
-    recheck = renormalize.copy()
-    recheck[renormalize] = ~_near_one(probs[renormalize], SILENT_TOL)
-    masses[recheck] = _fsum_rows(probs[recheck])
-    return np.where(np.abs(masses - 1.0) > SILENT_TOL, masses, np.nan)
-
-
-def _find_violations(
-    ids: tuple[str, ...], labels: np.ndarray, probs: np.ndarray, off_mass: np.ndarray, k: int
-) -> tuple[Violation, ...]:
-    """Every violation, by row and then in a fixed order of checks."""
+    outside = (probs < 0.0) | (probs > 1.0)
+    out_of_range = finite & outside.any(axis=1)
+    # A renormalized row with every entry in [0, 1] is on unit mass: its
+    # divisor m is its correctly rounded sum and each x / m is rounded with
+    # relative error at most 2**-53 (a subnormal quotient: 2**-1075 absolute),
+    # so its exact sum is within 2 * 2**-53 of 1.  Only the other renormalized
+    # rows are summed again.
+    masses[renormalize] = 1.0
+    resum = renormalize & out_of_range
+    masses[resum] = _fsum_rows(probs[resum])
+    off = np.abs(masses - 1.0) > SILENT_TOL
     duplicate = np.zeros(len(ids), dtype=bool)
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
@@ -206,10 +210,6 @@ def _find_violations(
             duplicate[i] = sample_id in seen
             seen.add(sample_id)
     bad_label = (labels < 0) | (labels >= k)
-    finite = np.isfinite(probs).all(axis=1)
-    outside = (probs < 0.0) | (probs > 1.0)
-    out_of_range = finite & outside.any(axis=1)
-    off = ~np.isnan(off_mass)
 
     found: list[Violation] = []
     for i in np.flatnonzero(duplicate | bad_label | ~finite | out_of_range | off).tolist():
@@ -228,7 +228,7 @@ def _find_violations(
             found.append(Violation(sample_id, f"probability {bad:.9g} outside [0, 1]", i))
         if off[i]:
             found.append(Violation(
-                sample_id, f"probability mass {float(off_mass[i]):.9g} outside tolerance", i
+                sample_id, f"probability mass {float(masses[i]):.9g} outside tolerance", i
             ))
     return tuple(found)
 
@@ -264,15 +264,12 @@ class Dataset:
         k = self.universe.k
         if probs.shape[1] != k:
             raise DimensionMismatchError(f"expected {k} probabilities, got {probs.shape[1]}")
-        off_mass = _apply_mass_policy(probs, lines)
+        object.__setattr__(self, "violations", _validate(ids, labels, probs, lines))
         labels.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(
-            self, "violations", _find_violations(ids, labels, probs, off_mass, k)
-        )
 
     def __len__(self) -> int:
         return len(self.ids)

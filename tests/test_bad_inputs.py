@@ -3,12 +3,14 @@
 Each case in ``data/bad_inputs.json`` is an input file's name and text and
 the command that reads it: ``calibrate`` on a dataset JSONL or a dataset
 CSV, ``evaluate --predictions`` on a prediction JSONL over the three-class
-``d.csv`` below, or ``calibrate`` with a classes.json.  Files that are not
-UTF-8 cannot be held in the manifest's text; ``test_io.py`` covers them.  The command must exit with the recorded code and print the
-recorded stderr.  Where Python words the end of a message itself (a JSON
-decode error, the recursion depth or digit limit, a TypeError), ``prefix``
-is set and the recorded stderr stops where Python's part begins.  A command
-that exits 2 leaves no file besides its inputs.
+``d.csv`` below, ``calibrate`` with a classes.json, or ``predict
+--calibration`` on a calibration artifact.  Files that are not UTF-8 cannot
+be held in the manifest's text; ``test_io.py`` covers them.  The command
+must exit with the recorded code and print the recorded stderr.  Where
+Python words the end of a message itself (a JSON decode error, the
+recursion depth or digit limit, a TypeError), ``prefix`` is set and the
+recorded stderr stops where Python's part begins.  A command that exits 2
+leaves no file besides its inputs.
 
 The manifest is data, not output: the test never writes it.  A changed
 message shows as a failing case, and the manifest is edited by hand to the
@@ -42,3 +44,21 @@ def test_exit_code_and_stderr_are_as_recorded(tmp_path, monkeypatch, capsys, cas
         assert err == case["stderr"]
     if case["exit"] == 2:
         assert sorted(tmp_path.iterdir()) == inputs
+
+
+# Each input file the CLI reads, by the option that names it and its suffix.
+INPUT_KINDS = {
+    ("--input", ".csv"): "dataset CSV",
+    ("--input", ".jsonl"): "dataset JSONL",
+    ("--predictions", ".jsonl"): "prediction JSONL",
+    ("--classes", ".json"): "classes.json",
+    ("--calibration", ".json"): "calibration artifact",
+}
+
+
+def test_the_corpus_covers_every_input_kind_the_cli_reads():
+    kinds = set()
+    for case in CASES:
+        option = case["argv"][case["argv"].index(case["file"]) - 1]
+        kinds.add(INPUT_KINDS[option, Path(case["file"]).suffix])
+    assert kinds == set(INPUT_KINDS.values())

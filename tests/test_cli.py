@@ -472,6 +472,35 @@ class TestSimulateCommand:
         assert json.loads(report.read_text())["marginal_coverage"] == per_seed[-1]
 
 
+class TestOutputsThatNameOneFile:
+    """Two outputs of one command that resolve to one file are a usage error."""
+
+    ARGV = {
+        "calibrate": ["calibrate", "--input", "calib.csv", "--out", "x", "--curve", "./x"],
+        "evaluate": ["evaluate", "--calibration", "a.json", "--input", "calib.csv",
+                     "--out-json", "r", "--out-csv", "link/r"],
+        "simulate": ["simulate", "--k", "3", "--n-calib", "20", "--n-test", "20", "--seeds",
+                     "1", "--out", "d/test.csv", "--write-data", "d"],
+    }
+    MESSAGES = {
+        "calibrate": "error: --out and --curve name one file: ./x\n",
+        "evaluate": "error: --out-json and --out-csv name one file: link/r\n",
+        "simulate": "error: --out and --write-data's test.csv name one file: d/test.csv\n",
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        one_hot_csv(tmp_path, n=20)
+        assert run("calibrate", "--input", "calib.csv", "--out", "a.json") == 0
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        capsys.readouterr()
+        inputs = sorted(tmp_path.iterdir())
+        assert run(*self.ARGV[command]) == 3
+        assert capsys.readouterr() == ("", self.MESSAGES[command])
+        assert sorted(tmp_path.iterdir()) == inputs
+
+
 class TestLogging:
     def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path, monkeypatch):
         """A library caller that configured no logging runs ``main(argv)`` four times."""

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conformal_gate.core_types import (
     ClassUniverse,
     DataError,
+    Dataset,
     DimensionMismatchError,
     InvalidDatasetError,
     _fsum_rows,
@@ -245,3 +246,48 @@ def row_matrices(draw) -> np.ndarray:
 def test_row_sums_are_the_fsum_bits(rows):
     expected = np.array([fsum_or_inf(row) for row in rows.tolist()])
     assert _fsum_rows(rows).tobytes() == expected.tobytes()
+
+
+# Tiny entries a renormalized row may hold: signed zeros, subnormals, the
+# smallest normal and small float32 and float64 values.
+TINY_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(0.0, 2.0**-20, width=32),
+    st.floats(0.0, 1e-6),
+)
+
+
+@st.composite
+def renormalized_rows(draw) -> np.ndarray:
+    """Rows of one width K in [2, 2000], every entry in [0, 1], with an
+    ``fsum`` mass m such that 1e-9 < |m - 1| <= 1e-3."""
+    k = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        tiny = draw(st.lists(TINY_ENTRIES, max_size=min(4, k - 1)))
+        deviation = draw(st.floats(1e-9, 1e-3) | st.sampled_from([0.0, 1e-6, 1e-3]))
+        mass = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * deviation
+        bulk = rng.dirichlet(np.full(k - len(tiny), draw(st.sampled_from([0.02, 1.0, 50.0]))))
+        bulk = np.minimum(bulk * mass, 1.0)
+        if draw(st.booleans()):  # a float32 softmax export, off by its own rounding
+            bulk = bulk.astype(np.float32).astype(np.float64)
+        row = rng.permutation(np.concatenate([bulk, tiny]))
+        if 1e-9 < abs(math.fsum(row.tolist()) - 1.0) <= 1e-3:
+            rows.append(row)
+    assume(rows)
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(renormalized_rows())
+def test_a_renormalized_row_in_the_unit_interval_is_on_unit_mass(rows):
+    """Dividing by the exact mass leaves a row within 2**-52 of unit mass."""
+    masses = np.array([math.fsum(row) for row in rows.tolist()])
+    quotients = rows / masses[:, None]
+    for row in quotients.tolist():
+        assert abs(math.fsum(row) - 1.0) <= 2.0**-52
+    ids = tuple(f"s{i}" for i in range(len(rows)))
+    dataset = Dataset(ClassUniverse.generic(rows.shape[1]), ids, np.zeros(len(ids)), rows)
+    assert dataset.probs.tobytes() == quotients.tobytes()
+    assert not [v for v in dataset.violations if v.reason.startswith("probability mass")]
