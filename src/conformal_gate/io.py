@@ -6,21 +6,27 @@ Formats (UTF-8, LF line endings, ``.`` decimal separator):
   may be class indices or class names resolvable via the universe.  One
   ``np.loadtxt`` call returns every row's raw id and label strings and the
   (n, K) matrix, and rejects a row of any other width; a file it rejects,
-  or one holding a U+001F, is read row by row with ``float()``, to the same
-  bits, up to its first bad row;
+  or one holding a U+001F, goes to the row loop, which reads each cell with
+  ``float()``, to the same bits;
 * dataset JSONL  - one ``{"sample_id", "true_label", "probs": [...]}``
   object per line; the id is a JSON string, probs an array of numbers;
 * prediction JSONL - one ``{"sample_id", "members", "set_size"}`` object per
   set, plus ``"true_label"`` when known; members are sorted class indices.
   A file in the exact layout :func:`write_predictions` writes is read with
   one regex match over the text and one ``json.loads`` per column; any
-  other, line by line, to the same sets or the same error;
+  other goes to the row loop, to the same sets or the same error;
 * classes.json   - ``[{"index": 0, "name": "..."}, ...]``;
 * report JSON    - full precision, schema defined by EvaluationReport;
 * report CSV     - one row per class plus a trailing ``overall`` row,
   columns ``recall,avg_set_size,strict_coverage`` rendered to 4 decimals
   (the ``overall`` recall cell holds the accuracy); missing per-class
   values render as ``n/a``.
+
+The three line readers share one row loop, :func:`_parse_rows`: it parses
+the non-blank rows in order, each by its reader's row parse, and stops at
+the first bad row with the rows before it and that row's error.  CSV rows
+are split as ``str.splitlines`` does; JSON lines at LF only, since U+0085,
+U+2028 and U+2029 may stand unescaped in a JSON string.
 
 Splitting shuffles once with a seeded Fisher-Yates pass, then slices
 contiguously with largest-remainder rounding so part sizes sum exactly to
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -104,21 +110,32 @@ def read_json(path: str | Path, what: str) -> Any:
         raise ParseError(f"malformed {what} {path}: {exc}") from exc
 
 
-def _json_lines(text: str) -> Iterator[tuple[int, Any]]:
-    """Each non-blank line of a JSON-lines text, decoded by ``json.loads``, and its 1-based line.
+def _non_blank(rows: list[str], first: int) -> tuple[list[str], Sequence[int]]:
+    """The rows that hold more than whitespace, and their lines; ``rows[0]`` is line ``first``."""
+    if all(map(str.strip, rows)):
+        return rows, range(first, first + len(rows))
+    lines = [line for line, row in enumerate(rows, first) if row.strip()]
+    return [rows[line - first] for line in lines], lines
 
-    Lines end at LF only: U+0085, U+2028 and U+2029 may stand unescaped in a
-    JSON string, and ``str.splitlines`` would break the line there.  Each line
-    is decoded when it is reached: a caller that stops at a bad record never
-    decodes the lines after it.
-    """
-    for line, row in enumerate(text.split("\n"), start=1):
-        if not row.strip():
-            continue
+
+def _parse_rows(rows: Sequence[str], lines: Sequence[int], parse: Callable[[str, int], Any]
+                ) -> tuple[list[Any], DataError | None]:
+    """``parse(row, line)`` of each row up to the first that raises a DataError, and that error."""
+    parsed = []
+    for row, line in zip(rows, lines):
         try:
-            yield line, json.loads(row)
-        except (ValueError, RecursionError) as exc:  # an integer over 4300 digits too
-            raise ParseError(f"bad JSON: {exc}", line=line) from exc
+            parsed.append(parse(row, line))
+        except DataError as exc:
+            return parsed, exc
+    return parsed, None
+
+
+def _json_row(row: str, line: int) -> Any:
+    """The value of one JSON-lines line; text that is not JSON is a ParseError citing ``line``."""
+    try:
+        return json.loads(row)
+    except (ValueError, RecursionError) as exc:  # an integer over 4300 digits too
+        raise ParseError(f"bad JSON: {exc}", line=line) from exc
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -238,13 +255,14 @@ def _check_width(width: int, universe: ClassUniverse, line: int) -> None:
         )
 
 
-def _checked(dataset: Dataset, lines: Sequence[int], error: DataError | None) -> Dataset:
-    """The dataset read from a file, or the first problem in file order.
+def _checked(universe: ClassUniverse, columns: tuple[Any, Any, Any], lines: Sequence[int],
+             error: DataError | None) -> Dataset:
+    """The dataset of a file's ids, labels and probabilities, or its first problem in file order.
 
-    ``lines`` is each row's 1-based line.  ``error`` is the parse error that
-    stopped reading, if any; the rows before it are checked first.
-    Duplicate ids are reported last.
+    ``lines`` is each row's 1-based line.  ``error`` is the parse error that stopped
+    reading, if any; the rows before it are checked first.  Duplicate ids come last.
     """
+    dataset = Dataset(universe, *columns, lines=lines)
     for v in dataset.violations:
         if v.reason != DUPLICATE_ID:
             raise ParseError(v.reason, line=lines[v.row])
@@ -258,6 +276,11 @@ def _checked(dataset: Dataset, lines: Sequence[int], error: DataError | None) ->
             line=lines[v.row],
         )
     return dataset
+
+
+def _row_columns(parsed: list[tuple[str, int, list[float]]], k: int) -> tuple[Any, Any, np.ndarray]:
+    ids, labels, probs = zip(*parsed) if parsed else ((), (), ())
+    return ids, labels, np.array(probs, dtype=np.float64).reshape(len(ids), k)
 
 
 def _is_jsonl(path: str | Path) -> bool:
@@ -291,12 +314,9 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
                          line=1)
     if universe is None:
         universe = ClassUniverse.generic(len(header) - 2)
-    rows, numbers = lines[1:], range(2, len(lines) + 1)
-    if not all(map(str.strip, rows)):
-        numbers = [n for n, row in zip(numbers, rows) if row.strip()]
-        rows = [lines[n - 1] for n in numbers]
+    rows, numbers = _non_blank(lines[1:], 2)
     columns, error = _csv_columns(rows, numbers, universe, len(header), c_reader)
-    return _checked(Dataset(universe, *columns, lines=numbers), numbers, error)
+    return _checked(universe, columns, numbers, error)
 
 
 def _csv_columns(
@@ -308,7 +328,7 @@ def _csv_columns(
     call of numpy's C reader splits each row into its raw id and label
     strings and its K numbers, and rejects a row of any other width.  When it
     rejects a row, a cell or a label, or ``c_reader`` is false (the text holds
-    a U+001F, which it strips around a cell), one loop reads each row with
+    a U+001F, which it strips around a cell), the row loop reads each row with
     ``float()``, to the same bits, checking its field count (``width`` is the
     header's), probability count, label and values in that order.
     """
@@ -327,71 +347,58 @@ def _csv_columns(
                 return (table["id"].tolist(), labels, table["p"]), None
         except ValueError:  # a bad row or label, or a spelling only float() reads, such as 1_0
             pass
-    ids, labels, values, error = [], [], [], None
-    for row, line in zip(rows, lines):
+
+    def parse(row: str, line: int) -> tuple[str, int, list[float]]:
         fields = row.split(",")
+        if len(fields) < 3:
+            raise ParseError(f"expected {width} fields, got {len(fields)}", line=line)
+        _check_width(len(fields) - 2, universe, line)
+        label = _resolve_label(fields[1], universe, line)
         try:
-            if len(fields) < 3:
-                raise ParseError(f"expected {width} fields, got {len(fields)}", line=line)
-            _check_width(len(fields) - 2, universe, line)
-            label = _resolve_label(fields[1], universe, line)
-            try:
-                values.extend([float(v) for v in fields[2:]])
-            except ValueError as exc:
-                raise ParseError(f"bad probability value: {exc}", line=line) from exc
-        except DataError as exc:
-            error = exc
-            break
-        ids.append(fields[0])
-        labels.append(label)
-    return (ids, labels, np.array(values).reshape(len(ids), k)), error
+            return fields[0], label, [float(v) for v in fields[2:]]
+        except ValueError as exc:
+            raise ParseError(f"bad probability value: {exc}", line=line) from exc
+
+    parsed, error = _parse_rows(rows, lines, parse)
+    return _row_columns(parsed, k), error
 
 
 def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
-    ids: list[str] = []
-    labels: list[int] = []
-    values: list[float] = []
-    lines: list[int] = []
-    error = None
-    try:
-        for offset, obj in _json_lines(_read_text(path, lf_lines=True)):
-            try:
-                sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"malformed record: {exc}", line=offset) from exc
-            if type(sample_id) is not str:
-                raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
-            if type(probs) is not list or not all(type(v) in (int, float) for v in probs):
-                raise ParseError("probs is not a JSON array of numbers", line=offset)
-            try:
-                row = [float(v) for v in probs]
-            except OverflowError as exc:
-                raise ParseError(f"probs entry out of float range: {exc}", line=offset) from exc
-            if universe is None:
-                try:
-                    universe = ClassUniverse.generic(len(row))
-                except DataError as exc:
-                    raise ParseError(str(exc), line=offset) from exc  # fewer than 2 probs
-            label = _resolve_label(raw_label, universe, offset)
-            _check_width(len(row), universe, offset)
-            ids.append(sample_id)
-            labels.append(label)
-            values.extend(row)
-            lines.append(offset)
-    except DataError as exc:
+    def parse(row: str, line: int) -> tuple[str, int, list[float]]:
+        nonlocal universe
+        obj = _json_row(row, line)
+        try:
+            sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed record: {exc}", line=line) from exc
+        if type(sample_id) is not str:
+            raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=line)
+        if type(probs) is not list or not all(type(v) in (int, float) for v in probs):
+            raise ParseError("probs is not a JSON array of numbers", line=line)
+        try:
+            values = [float(v) for v in probs]
+        except OverflowError as exc:
+            raise ParseError(f"probs entry out of float range: {exc}", line=line) from exc
         if universe is None:
-            raise
-        error = exc
-    if universe is None:
-        raise ParseError("empty JSONL file: cannot infer the class universe", line=1)
-    probs = np.array(values, dtype=np.float64).reshape(len(ids), universe.k)
-    return _checked(Dataset(universe, ids, labels, probs, lines=lines), lines, error)
+            try:
+                universe = ClassUniverse.generic(len(values))
+            except DataError as exc:
+                raise ParseError(str(exc), line=line) from exc  # fewer than 2 probs
+        label = _resolve_label(raw_label, universe, line)
+        _check_width(len(values), universe, line)
+        return sample_id, label, values
+
+    rows, lines = _non_blank(_read_text(path, lf_lines=True).split("\n"), 1)
+    parsed, error = _parse_rows(rows, lines, parse)
+    if universe is None:  # no row, or the first row failed before its probs were counted
+        raise error or ParseError("empty JSONL file: cannot infer the class universe", line=1)
+    return _checked(universe, _row_columns(parsed, universe.k), lines, error)
 
 
 # The loader splits the file with str.splitlines and each row on ",", with
 # no quoting, so a cell (an id, or a class name in the report CSV) may hold
-# no comma, quote or line-breaking character.
-_CSV_UNSAFE_ID = re.compile('[,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]')
+# no comma, quote or line-breaking character, nor a lone surrogate: no UTF-8.
+_CSV_UNSAFE_ID = re.compile('[,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ud800-\udfff]')
 
 
 def _require_csv_safe(cells, what: str) -> None:
@@ -399,34 +406,22 @@ def _require_csv_safe(cells, what: str) -> None:
         if _CSV_UNSAFE_ID.search(cell):
             raise DataError(
                 f"{what} {cell!r} cannot be written to CSV:"
-                " it contains a comma, a double quote or a line break"
+                " it contains a comma, a double quote, a line break or a lone surrogate"
             )
 
 
 def dataset_csv_text(dataset: Dataset) -> str:
     _require_csv_safe(dataset.ids, "sample_id")
-    header = "sample_id,true_label," + ",".join(
-        f"p_{i}" for i in range(dataset.universe.k)
-    )
-    rows = [header]
-    for sample_id, label, probs in zip(
-        dataset.ids, dataset.labels.tolist(), dataset.probs.tolist()
-    ):
-        rows.append(f"{sample_id},{label}," + ",".join(repr(v) for v in probs))
-    return "\n".join(rows) + "\n"
+    header = "sample_id,true_label," + ",".join(f"p_{i}" for i in range(dataset.universe.k))
+    rows = zip(dataset.ids, dataset.labels.tolist(), dataset.probs.tolist())
+    return "\n".join([header, *(f"{sample_id},{label}," + ",".join(map(repr, probs))
+                               for sample_id, label, probs in rows)]) + "\n"
 
 
 def dataset_jsonl_text(dataset: Dataset) -> str:
-    lines = []
-    for sample_id, label, probs in zip(
-        dataset.ids, dataset.labels.tolist(), dataset.probs.tolist()
-    ):
-        lines.append(json.dumps({
-            "sample_id": sample_id,
-            "true_label": label,
-            "probs": probs,
-        }))
-    return "\n".join(lines) + ("\n" if lines else "")
+    rows = zip(dataset.ids, dataset.labels.tolist(), dataset.probs.tolist())
+    return "".join(json.dumps({"sample_id": sample_id, "true_label": label, "probs": probs}) + "\n"
+                   for sample_id, label, probs in rows)
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -524,28 +519,32 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
     sets = _written_predictions(text, k)
     if sets is not None:
         return sets
-    ids: list[str] = []
-    all_members: list[list[int]] = []
-    for offset, obj in _json_lines(text):
+
+    def parse(row: str, line: int) -> tuple[str, list[int]]:
+        obj = _json_row(row, line)
         try:
             sample_id, members = obj["sample_id"], obj["members"]
         except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad prediction record: {exc}", line=offset) from exc
+            raise ParseError(f"bad prediction record: {exc}", line=line) from exc
         if type(sample_id) is not str:
-            raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=offset)
+            raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=line)
         if type(members) is not list:
-            raise ParseError(f"members {members!r} is not a JSON array", line=offset)
+            raise ParseError(f"members {members!r} is not a JSON array", line=line)
         for m in members:
             if type(m) is not int or not 0 <= m < k:
-                raise ParseError(f"member {m!r} is not a class index in [0, {k})", line=offset)
+                raise ParseError(f"member {m!r} is not a class index in [0, {k})", line=line)
         distinct = len(set(members))
         size = obj.get("set_size", distinct)
         if type(size) is not int:
-            raise ParseError(f"set_size {size!r} is not a JSON integer", line=offset)
+            raise ParseError(f"set_size {size!r} is not a JSON integer", line=line)
         if size != distinct:
-            raise ParseError(f"set_size {size!r} differs from the {distinct} members", line=offset)
-        ids.append(sample_id)
-        all_members.append(members)
+            raise ParseError(f"set_size {size!r} differs from the {distinct} members", line=line)
+        return sample_id, members
+
+    parsed, error = _parse_rows(*_non_blank(text.split("\n"), 1), parse)
+    if error is not None:
+        raise error
+    ids, all_members = zip(*parsed) if parsed else ((), ())
     mask = np.zeros((len(ids), k), dtype=bool)
     mask[np.repeat(np.arange(len(ids)), list(map(len, all_members))),
          np.fromiter(chain.from_iterable(all_members), np.intp)] = True
@@ -659,7 +658,7 @@ def report_csv_text(report: EvaluationReport) -> str:
     """Per-class metric table: class rows, then an overall row.
 
     The overall row's recall column carries the accuracy.  A class name
-    that holds a comma, a double quote or a line break is a DataError.
+    that :func:`_require_csv_safe` rejects is a DataError.
     """
     _require_csv_safe(report.class_names, "class name")
     lines = ["class,recall,avg_set_size,strict_coverage", *map(",".join, report_rows(report))]

@@ -221,7 +221,7 @@ class TestEvaluateCommand:
         assert "marginal_coverage" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["Steel, sheets", 'E3 "shred"', "E3\nshred", "E3\r\nshred",
-                                      "E3\u2028shred"])
+                                      "E3\u2028shred", "E3\ud800"])
     def test_class_name_the_report_csv_cannot_hold_exits_2(self, tmp_path, capsys, name):
         data = one_hot_csv(tmp_path, n=30)
         classes = tmp_path / "classes.json"

@@ -288,7 +288,7 @@ class TestRoundTrips:
         assert loaded == d
 
     @pytest.mark.parametrize("sample_id", ["x,y", 'say "hi"', "two\nlines", "cr\r", "vt\x0b",
-                                           "ls\u2028"])
+                                           "ls\u2028", "\ud800", "lone\udfff"])
     def test_csv_rejects_ids_it_cannot_load_back(self, tmp_path, sample_id):
         d = make_dataset(2, [(sample_id, 0, (1.0, 0.0))])
         with pytest.raises(DataError, match="cannot be written to CSV"):

@@ -201,14 +201,14 @@ def test_a_written_file_is_read_without_the_line_decoder(tmp_path, old, new):
     path = tmp_path / "sets.jsonl"
     write_predictions(PredictionSets(ids, mask), path, np.arange(len(ids)) % 4)
     calls = []
-    json_lines = cgio._json_lines
+    parse_rows = cgio._parse_rows
 
-    def spy(text):
-        calls.append(text)
-        return json_lines(text)
+    def spy(rows, lines, parse):
+        calls.append(rows)
+        return parse_rows(rows, lines, parse)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cgio, "_json_lines", spy)
+        patch.setattr(cgio, "_parse_rows", spy)
         written = outcome(lambda: load_predictions(path, 4))
         assert calls == []
         lines = path.read_text(encoding="utf-8").split("\n")
