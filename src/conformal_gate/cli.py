@@ -150,8 +150,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _print_summary(report) -> None:
-    rows = cgio.report_rows(report)
+def _print_summary(report, rows: list[list[str]]) -> None:
     width = max(len(name) for name, *_ in rows)
     print(f"{'class':<{width}}  recall  avg_set_size  strict_coverage")
     for name, recall, avg_set_size, strict_coverage in rows:
@@ -165,12 +164,13 @@ def _print_summary(report) -> None:
 def cmd_evaluate(args) -> int:
     dataset = _load_input(args.input, args.classes)
     if args.predictions:
-        sets = cgio.load_predictions(args.predictions, dataset.universe.k)
+        sets = cgio.load_predictions(args.predictions, dataset.universe.k, dataset.ids)
     else:
         sets = predict_batch(dataset, _read_artifact(args.calibration, dataset.universe))
     report = evaluate(dataset, sets)
-    cgio.write_report(report, args.out_json, args.out_csv)
-    _print_summary(report)
+    rows = cgio.report_rows(report)
+    cgio.write_report(report, args.out_json, args.out_csv, rows)
+    _print_summary(report, rows)
     return EXIT_OK
 
 

@@ -13,10 +13,13 @@ Formats (UTF-8, LF line endings, ``.`` decimal separator):
 * prediction JSONL - one ``{"sample_id", "members", "set_size"}`` object per
   set, plus ``"true_label"`` when known; members are sorted class indices.
   A file in the exact layout :func:`write_predictions` writes is read with
-  one regex match over the text and one ``json.loads`` per column; any
-  other goes to the row loop, to the same sets or the same error;
+  one regex match over the text, one ``json.loads`` for the ids and one for
+  the set sizes, and one ``np.fromstring`` of all members once whole-text
+  checks prove them digit runs joined by ``", "``; any other goes to the row
+  loop, to the same sets or the same error;
 * classes.json   - ``[{"index": 0, "name": "..."}, ...]``;
-* report JSON    - full precision, schema defined by EvaluationReport;
+* report JSON    - full precision, schema defined by EvaluationReport; the
+  confusion matrix is an all-zero template with the nonzero counts written in;
 * report CSV     - one row per class plus a trailing ``overall`` row,
   columns ``recall,avg_set_size,strict_coverage`` rendered to 4 decimals
   (the ``overall`` recall cell holds the accuracy); missing per-class
@@ -182,10 +185,14 @@ def load_universe(path: str | Path) -> ClassUniverse:
     indices of K entries are 0..K-1, each used once, in any order.
     """
     entries = read_json(path, "classes file")
-    try:
-        pairs = [(e["index"], e["name"]) for e in entries]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed classes file {path}: {exc}") from exc
+    if type(entries) is not list:
+        raise ParseError(f'malformed classes file {path}: not a JSON array of'
+                         ' {"index": ..., "name": ...} objects')
+    for i, e in enumerate(entries):
+        if type(e) is not dict or "index" not in e or "name" not in e:
+            raise ParseError(f'malformed classes file {path}: entry {i} is not a'
+                             ' {"index": ..., "name": ...} object')
+    pairs = [(e["index"], e["name"]) for e in entries]
     for index, name in pairs:
         if type(index) is not int or type(name) is not str:
             raise ParseError(
@@ -461,14 +468,14 @@ def write_predictions(
     ))
 
 
-# The line write_predictions writes.  json.loads checks the ids, members and
-# set sizes it captures; a true_label is only checked, as a JSON integer.
+# The line write_predictions writes.  json.loads checks the ids and set sizes
+# it captures; a true_label is only checked, as a JSON integer.
 _WRITTEN_LINE = (r'^\{"sample_id": ("[^"\\\n]*(?:\\.[^"\\\n]*)*"), "members": \[([0-9, ]*)\], '
                  r'"set_size": ([0-9]+)(?:, "true_label": -?(?:0|[1-9][0-9]*))?\}$')
 
 
-def _written_predictions(text: str, k: int) -> PredictionSets | None:
-    """The sets of a file in the exact layout :func:`write_predictions` writes, or None.
+def _written_predictions(text: str, k: int) -> tuple[PredictionSets, Sequence[int]] | None:
+    """The sets and lines of a file in the exact layout :func:`write_predictions` writes, or None.
 
     Every line must match that layout, with JSON ids and integers, members
     strictly ascending in [0, k) and each ``set_size`` their count.  Any
@@ -481,30 +488,40 @@ def _written_predictions(text: str, k: int) -> PredictionSets | None:
     if n != text.count("\n") or not text.endswith("\n"):  # a line that does not match
         return None
     ids, members, sizes = zip(*rows)
-    # One space after each comma and no other space: once json.loads reads the
-    # joined text, each row's is "a, b, c" of JSON integers, its commas one fewer.
+    # The members of all sets must be digit runs, each pair joined by ", " and nothing
+    # else: each comma has the one space after it, each space a comma before it, and no
+    # run is empty.  np.fromstring then reads the text to its end; what it makes of
+    # other text (an empty run read as 0, or an error) depends on the numpy version.
     joined = ", ".join(filter(None, members))
-    if not joined.count(",") == joined.count(", ") == joined.count(" "):
+    separators = joined.count(", ")
+    if (not joined.count(",") == separators == joined.count(" ")
+            or ", , " in joined or joined[:1] == "," or joined[-1:] == " "):
+        return None
+    flat = np.fromstring(joined, dtype=np.int64, sep=",")
+    if flat.size and flat.max() >= k:
+        return None
+    # A run with a leading zero, which JSON does not allow, has more digits than its
+    # value in [0, k): then the values' digits fall short of the text's.
+    digits = flat.size + sum(np.count_nonzero(flat >= 10 ** e) for e in range(1, len(str(k - 1))))
+    if digits != len(joined) - 2 * separators:
         return None
     counts = (np.fromiter(map(str.count, members, repeat(",")), np.int64, n)
               + np.fromiter(map(bool, members), bool, n))
     try:
         ids = json.loads(f"[{','.join(ids)}]")
-        flat = json.loads(f"[{joined}]")
         if json.loads(f"[{','.join(sizes)}]") != counts.tolist():
             return None
-        flat = np.fromiter(flat, np.int64, len(flat))
     except (ValueError, OverflowError):  # ValueError: JSONDecodeError, or over 4300 digits
         return None
     cells = np.repeat(np.arange(n) * k, counts) + flat
-    if flat.size and (flat.max() >= k or np.any(np.diff(cells) <= 0)):
+    if np.any(np.diff(cells) <= 0):
         return None
     mask = np.zeros((n, k), dtype=bool)
     mask.reshape(-1)[cells] = True
-    return PredictionSets(ids, mask)
+    return PredictionSets(ids, mask), range(1, n + 1)
 
 
-def load_predictions(path: str | Path, k: int) -> PredictionSets:
+def load_predictions(path: str | Path, k: int, ids: Sequence[str] | None = None) -> PredictionSets:
     """Read prediction JSONL into sets over k classes.
 
     A file in the layout :func:`write_predictions` writes is read in one pass.
@@ -512,13 +529,35 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
     ``members`` that is not a JSON array, a member that is not an int in
     [0, k) (bools included), a ``set_size`` other than the count of distinct
     members, or a line that is not JSON, is a ParseError with its line.
-    """
-    from .predictor import PredictionSets
 
+    With ``ids``, the sample ids of the dataset the sets are for, the file
+    must hold one set per id, and a set's non-empty ``sample_id`` must be the
+    id at its position.  Otherwise the ParseError names the file, and cites
+    the line of the first set that does not align, of the first set past
+    the ids, or after the last set when there are fewer sets than ids.
+    """
     text = _read_text(path, lf_lines=True)
-    sets = _written_predictions(text, k)
-    if sets is not None:
+    sets, lines = _written_predictions(text, k) or _row_predictions(text, k)
+    if ids is None:
         return sets
+    if len(sets) > len(ids):
+        raise ParseError(f"{path} holds {len(sets)} prediction sets,"
+                         f" {len(sets) - len(ids)} more than the {len(ids)} labels",
+                         line=lines[len(ids)])
+    if len(sets) < len(ids):
+        raise ParseError(f"{path} ends after {len(sets)} prediction sets,"
+                         f" {len(ids) - len(sets)} short of the {len(ids)} labels",
+                         line=lines[-1] + 1 if lines else 1)
+    row = sets.misaligned(ids)
+    if row is not None:
+        raise ParseError(f"prediction for {sets.ids[row]!r} in {path} does not align"
+                         f" with sample {ids[row]!r}", line=lines[row])
+    return sets
+
+
+def _row_predictions(text: str, k: int) -> tuple[PredictionSets, Sequence[int]]:
+    """The sets of prediction JSONL text read line by line, and their lines."""
+    from .predictor import PredictionSets
 
     def parse(row: str, line: int) -> tuple[str, list[int]]:
         obj = _json_row(row, line)
@@ -541,14 +580,15 @@ def load_predictions(path: str | Path, k: int) -> PredictionSets:
             raise ParseError(f"set_size {size!r} differs from the {distinct} members", line=line)
         return sample_id, members
 
-    parsed, error = _parse_rows(*_non_blank(text.split("\n"), 1), parse)
+    rows, lines = _non_blank(text.split("\n"), 1)
+    parsed, error = _parse_rows(rows, lines, parse)
     if error is not None:
         raise error
     ids, all_members = zip(*parsed) if parsed else ((), ())
     mask = np.zeros((len(ids), k), dtype=bool)
     mask[np.repeat(np.arange(len(ids)), list(map(len, all_members))),
          np.fromiter(chain.from_iterable(all_members), np.intp)] = True
-    return PredictionSets(ids, mask)
+    return PredictionSets(ids, mask), lines
 
 
 # ---------------------------------------------------------------------------
@@ -654,44 +694,89 @@ def report_rows(report: EvaluationReport) -> list[list[str]]:
     return [[name, *map(_cell, values)] for name, *values in (*rows, overall)]
 
 
-def report_csv_text(report: EvaluationReport) -> str:
+def report_csv_text(report: EvaluationReport, rows: list[list[str]] | None = None) -> str:
     """Per-class metric table: class rows, then an overall row.
 
-    The overall row's recall column carries the accuracy.  A class name
+    The overall row's recall column carries the accuracy.  ``rows`` is
+    :func:`report_rows` of the report, when the caller has it.  A class name
     that :func:`_require_csv_safe` rejects is a DataError.
     """
     _require_csv_safe(report.class_names, "class name")
-    lines = ["class,recall,avg_set_size,strict_coverage", *map(",".join, report_rows(report))]
+    rows = report_rows(report) if rows is None else rows
+    lines = ["class,recall,avg_set_size,strict_coverage", *map(",".join, rows)]
     return "\n".join(lines) + "\n"
+
+
+# What json.dumps(indent=2) writes between two cells of a row, and between two
+# rows, of the report object's last value, the confusion matrix.
+_CELL, _ROW = ",\n      ", "\n    ],\n    [\n      "
+
+
+def _texts(keys: np.ndarray, render: Callable[[int], str]) -> np.ndarray:
+    """``render`` of each key, as an object array holding one string per distinct key.
+
+    The distinct keys come from one sort, which on numpy 2.4 is several times
+    faster than ``np.unique`` on an array of few distinct values.
+    """
+    ordered = np.sort(keys)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    return np.array(list(map(render, distinct.tolist())), dtype=object)[
+        np.searchsorted(distinct, keys)]
+
+
+def _matrix_text(counts: np.ndarray) -> str:
+    """``json.dumps(counts.tolist(), indent=2)`` as the report object's last value.
+
+    The text of the all-zero matrix is one template; each nonzero count is
+    written over its cell's ``"0"``, at an offset computed with numpy.  The
+    template text between two nonzero cells of one row depends only on how
+    many columns apart they are, so it is one shared string per distance;
+    only text that spans rows is sliced from the template, at most once per
+    row.  Python-level work is O(rows + distinct counts and distances), not
+    O(cells).
+    """
+    rows, cols = counts.shape
+    if not counts.size:  # no rows, or rows of no cells
+        return json.dumps(counts.tolist(), indent=2).replace("\n", "\n  ")
+    template = _ROW.join([_CELL.join(["0"] * cols)] * rows)
+    flat = np.flatnonzero(counts)
+    row = flat // cols
+    starts = flat * (1 + len(_CELL)) + row * (len(_ROW) - len(_CELL))  # of each nonzero's "0"
+    # gap i runs from the end of nonzero cell i - 1 (or the start) to nonzero cell i (or the end)
+    in_row = np.zeros(flat.size + 1, dtype=bool)
+    in_row[1:-1] = row[1:] == row[:-1]
+    pieces = np.empty(2 * flat.size + 1, dtype=object)
+    gaps = pieces[0::2]
+    gaps[in_row] = _texts(np.diff(flat)[in_row[1:-1]], lambda d: _CELL + ("0" + _CELL) * (d - 1))
+    crossing = ~in_row
+    begins = np.r_[0, starts + 1][crossing].tolist()
+    ends = np.r_[starts, len(template)][crossing].tolist()
+    gaps[crossing] = [template[begin:end] for begin, end in zip(begins, ends)]
+    pieces[1::2] = _texts(counts.reshape(-1)[flat], str)
+    return f"[\n    [\n      {''.join(pieces.tolist())}\n    ]\n  ]"
 
 
 def report_json_text(report: EvaluationReport) -> str:
     """``json.dumps(report.to_json_obj(), indent=2)`` and a newline.
 
-    The confusion matrix, the last key, is written here by looking each
-    cell up in the strings of the matrix's distinct values: ``json.dumps``
-    encodes with pure Python whenever ``indent`` is set.  The distinct
-    values come from one sort, which on numpy 2.4 is several times faster
-    than ``np.unique`` on a matrix of few distinct counts.
+    ``json.dumps`` encodes with pure Python whenever ``indent`` is set, so
+    it writes every key but the last; the last, the K x K confusion matrix,
+    is :func:`_matrix_text`, whose Python-level work grows with the nonzero
+    counts (never more than ``n_test``) rather than with K².
     """
-    counts = report.confusion
-    if counts.size:
-        ordered = np.sort(counts, axis=None)
-        values = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-        texts = np.array(list(map(str, values.tolist())), dtype=object)[
-            np.searchsorted(values, counts)]
-        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, texts.tolist()))
-        matrix = f"[\n    [\n      {rows}\n    ]\n  ]"
-    else:  # no cells
-        matrix = json.dumps(counts.tolist(), indent=2).replace("\n", "\n  ")
-    obj = report.to_json_obj()
-    del obj["confusion_matrix"]
-    return json.dumps(obj, indent=2)[:-2] + f',\n  "confusion_matrix": {matrix}\n}}\n'
+    head = json.dumps(report.to_json_obj(confusion=False), indent=2)[:-2]  # up to the closing "\n}"
+    return f'{head},\n  "confusion_matrix": {_matrix_text(report.confusion)}\n}}\n'
 
 
-def write_report(report: EvaluationReport, json_path: str | Path, csv_path: str | Path) -> None:
-    """Write the report JSON and the per-class report CSV, or neither when one cannot be rendered."""
-    json_text, csv_text = report_json_text(report), report_csv_text(report)
+def write_report(report: EvaluationReport, json_path: str | Path, csv_path: str | Path,
+                 rows: list[list[str]] | None = None) -> None:
+    """Write the report JSON and the per-class report CSV, or neither when one cannot be rendered.
+
+    ``rows`` is :func:`report_rows` of the report, when the caller has it.
+    """
+    json_text, csv_text = report_json_text(report), report_csv_text(report, rows)
     write_atomic(json_path, json_text)
     write_atomic(csv_path, csv_text)
 

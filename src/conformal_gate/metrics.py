@@ -103,8 +103,9 @@ class EvaluationReport:
         confusion.flags.writeable = False
         object.__setattr__(self, "confusion", confusion)
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json_obj(self, confusion: bool = True) -> dict:
+        """The report as JSON values; ``confusion=False`` leaves out the last key, the matrix."""
+        obj = {
             "n_test": self.n_test,
             "class_names": list(self.class_names),
             "accuracy": self.accuracy,
@@ -116,8 +117,10 @@ class EvaluationReport:
             "per_class_avg_set_size": list(self.per_class_avg_set_size),
             "uncertain_counts": {str(size): c for size, c in sorted(self.uncertain_counts.items())},
             "uncertain_total": self.uncertain_total,
-            "confusion_matrix": self.confusion.tolist(),
         }
+        if confusion:
+            obj["confusion_matrix"] = self.confusion.tolist()
+        return obj
 
 
 def evaluate(test: Dataset, sets: PredictionSets) -> EvaluationReport:
@@ -135,12 +138,11 @@ def evaluate(test: Dataset, sets: PredictionSets) -> EvaluationReport:
         raise DimensionMismatchError(
             f"prediction sets over {sets.mask.shape[1]} classes, the dataset has {k}"
         )
-    if sets.ids != test.ids:
-        for given, expected in zip(sets.ids, test.ids):
-            if given and given != expected:
-                raise DataError(
-                    f"prediction for {given!r} does not align with sample {expected!r}"
-                )
+    row = sets.misaligned(test.ids)
+    if row is not None:
+        raise DataError(
+            f"prediction for {sets.ids[row]!r} does not align with sample {test.ids[row]!r}"
+        )
     n = len(labels)
     hit = sets.mask[np.arange(n), labels] & (sets.sizes == 1)
     totals = np.bincount(labels, minlength=k)

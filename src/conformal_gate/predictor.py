@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -67,6 +68,14 @@ class PredictionSets:
 
     def __iter__(self):
         return map(PredictionSet, self.ids, map(frozenset, self.by_set(np.nonzero(self.mask)[1])))
+
+    def misaligned(self, ids: Sequence[str]) -> int | None:
+        """The position of the first set whose id is neither empty nor the one in ``ids`` there."""
+        if self.ids != tuple(ids):
+            for row, (given, expected) in enumerate(zip(self.ids, ids)):
+                if given and given != expected:
+                    return row
+        return None
 
     def by_set(self, cells: np.ndarray) -> list[list]:
         """``cells``, one entry per member in ``np.nonzero(mask)`` order, as one list per set."""

@@ -36,6 +36,8 @@ from .rng import nth_output, output_block
 _S11 = np.uint64(11)
 _S53 = np.uint64(53)
 _INV53 = 2.0**-53
+# The largest exponential variate, -log1p(-u) at the largest uniform u = 1 - 2**-53.
+_MAX_VARIATE = 53 * math.log(2)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,11 @@ class SyntheticSpec:
             raise DataError(f"class weights sum to {math.fsum(weights)!r}, not 1")
         if not self.sharpness > 0.0:
             raise DataError(f"sharpness must be positive, got {self.sharpness!r}")
+        if not math.isfinite((1.0 + self.sharpness) * _MAX_VARIATE):
+            raise DataError(
+                f"sharpness (--sharpness) {self.sharpness!r} is too large: the target variate,"
+                " up to 53 ln 2, times 1 + sharpness overflows a float"
+            )
         if not 0.0 <= self.noise < 1.0:
             raise DataError(f"noise must lie in [0, 1), got {self.noise!r}")
 

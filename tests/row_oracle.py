@@ -14,6 +14,10 @@ row at a time, stopping at the first row it cannot parse.
 one-pass reader of the writer's layout: ``json.loads`` and the checks once
 per line.
 
+:func:`matrix_text_table` is the report JSON's confusion matrix as it was
+rendered before the all-zero template: every cell looked up in a table of
+the strings of the matrix's distinct values, and every cell joined.
+
 :func:`calibrate_scores_tuple` and :func:`curve_csv_tuple` are the
 calibration and curve export that the sorted score array replaced: the
 scores sorted into a tuple, the threshold picked from it at the rank
@@ -224,6 +228,18 @@ def load_predictions_rows(path, k: int) -> PredictionSets:
     mask = np.zeros((len(ids), k), dtype=bool)
     mask[rows, columns] = True
     return PredictionSets(ids, mask)
+
+
+def matrix_text_table(counts: np.ndarray) -> str:
+    """``json.dumps(counts.tolist(), indent=2)`` as the report object's last value, cell by cell."""
+    if not counts.size:
+        return json.dumps(counts.tolist(), indent=2).replace("\n", "\n  ")
+    ordered = np.sort(counts, axis=None)
+    values = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    texts = np.array(list(map(str, values.tolist())), dtype=object)[
+        np.searchsorted(values, counts)]
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, texts.tolist()))
+    return f"[\n    [\n      {rows}\n    ]\n  ]"
 
 
 @dataclass(frozen=True)

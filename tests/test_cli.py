@@ -435,6 +435,15 @@ class TestSimulateCommand:
     def test_invalid_spec_exits_2(self, tmp_path):
         assert run("simulate", "--k", "1", "--out", str(tmp_path / "t.json")) == 2
 
+    @pytest.mark.parametrize("sharpness", ["inf", "1e308"])
+    def test_a_sharpness_that_overflows_exits_2_naming_the_flag(self, tmp_path, capsys, sharpness):
+        assert run("simulate", "--k", "3", "--n-calib", "20", "--n-test", "20", "--seeds", "2",
+                   "--sharpness", sharpness, "--out", str(tmp_path / "t.json")) == 2
+        assert capsys.readouterr().err == (
+            f"error: sharpness (--sharpness) {float(sharpness)!r} is too large: the target"
+            " variate, up to 53 ln 2, times 1 + sharpness overflows a float\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_data_emits_csvs(self, tmp_path):
         out_dir = tmp_path / "data"
         assert run("simulate", "--k", "3", "--n-calib", "50", "--n-test", "60",

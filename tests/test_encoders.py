@@ -1,9 +1,10 @@
 """The report JSON and prediction JSONL writers against ``json.dumps``.
 
-``report_json_text`` writes the confusion matrix rows itself and
-``write_predictions`` builds each line with an f-string; both must give the
-bytes ``json.dumps`` gives.  ``tests/data/golden_report.json``,
-``golden_predictions.jsonl`` and ``golden_predictions_labeled.jsonl`` were
+``report_json_text`` writes the confusion matrix itself, into an all-zero
+template, and ``write_predictions`` builds each line with an f-string; both
+must give the bytes ``json.dumps`` gives.  The matrix must also be the text
+of the cell-by-cell renderer it replaced, ``row_oracle.matrix_text_table``.
+``tests/data/golden_report.json``, ``golden_predictions.jsonl`` and ``golden_predictions_labeled.jsonl`` were
 written by the ``json.dumps`` encoders, from the cases built below.
 """
 
@@ -14,13 +15,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_gate.core_types import ClassUniverse, Dataset
-from conformal_gate.io import report_json_text, write_predictions, write_report
+from conformal_gate.io import _matrix_text, report_json_text, write_predictions, write_report
 from conformal_gate.metrics import evaluate
 from conformal_gate.predictor import PredictionSets
+
+from row_oracle import matrix_text_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,6 +86,31 @@ def test_report_json_equals_json_dumps_for_any_matrix_shape(rows, columns, data)
     counts = data.draw(st.lists(cells, min_size=rows * columns, max_size=rows * columns))
     report = replace(golden_report(),
                      confusion=np.array(counts, dtype=np.int64).reshape(rows, columns))
+    assert report_json_text(report) == json.dumps(report.to_json_obj(), indent=2) + "\n"
+
+
+# Counts whose texts change width: 9 and 10, 99 and 100, and up to 10**12.
+EDGE_COUNTS = (1, 9, 10, 99, 100, 999, 1000, 10**12 - 1, 10**12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 600), st.sampled_from(["none", "one", "diagonal", "sparse", "dense"]),
+       st.integers(0, 2**32 - 1))
+@example(600, "dense", 1)
+@example(500, "diagonal", 2)
+@example(500, "sparse", 3)
+def test_the_template_matrix_equals_the_cell_by_cell_one(k, fill, seed):
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(k * k, dtype=np.int64)
+    nonzero = {"none": [], "one": rng.integers(0, k * k, 1), "diagonal": np.arange(k) * (k + 1),
+               "sparse": rng.integers(0, k * k, k),
+               "dense": np.flatnonzero(rng.random(k * k) < 0.9)}[fill]
+    n = len(nonzero)
+    counts[nonzero] = np.where(rng.random(n) < 0.5, rng.choice(EDGE_COUNTS, n),
+                               rng.integers(1, 10**12, n, endpoint=True))
+    counts = counts.reshape(k, k)
+    assert _matrix_text(counts) == matrix_text_table(counts)
+    report = replace(golden_report(), confusion=counts)
     assert report_json_text(report) == json.dumps(report.to_json_obj(), indent=2) + "\n"
 
 

@@ -249,6 +249,23 @@ class TestPredictionJsonl:
         with pytest.raises(ParseError, match="line 1: set_size 2 differs from the 1 members"):
             load_predictions(path, 3)
 
+    # written layout, then the row path: a blank line first, so set i is on line i + 2
+    @pytest.mark.parametrize("before, first", [("", 1), ("\n", 2)])
+    def test_sets_checked_against_ids_cite_the_file_and_line(self, tmp_path, before, first):
+        path = tmp_path / "sets.jsonl"
+        write_predictions(make_sets(3, [{0}, {1}, {2}], ids=("a", "x", "")), path)
+        path.write_text(before + path.read_text())
+        assert load_predictions(path, 3, ("a", "x", "c")).ids == ("a", "x", "")
+        with pytest.raises(ParseError, match=rf"^line {first + 1}: prediction for 'x' in {path}"
+                                             r" does not align with sample 'b'$"):
+            load_predictions(path, 3, ("a", "b", "c"))
+        with pytest.raises(ParseError, match=rf"^line {first + 3}: {path} ends after 3 prediction"
+                                             r" sets, 1 short of the 4 labels$"):
+            load_predictions(path, 3, ("a", "x", "c", "d"))
+        with pytest.raises(ParseError, match=rf"^line {first + 2}: {path} holds 3 prediction"
+                                             r" sets, 1 more than the 2 labels$"):
+            load_predictions(path, 3, ("a", "x"))
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_any_ids_and_masks_load_back_as_written(self, tmp_path_factory, data):

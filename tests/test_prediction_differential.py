@@ -42,7 +42,10 @@ ODD_FIELDS = {
                   '"\x01"', '"a\\"', "1"],
     "members": ["[01]", "[-0]", "[0, 01]", "[00]", f"[{BIG}]", "[1, 1]", "[0, 0]", "[1, 0]",
                 "[0,1]", "[ 0]", "[0 ]", "[0,  1]", "[0, 1,]", "[0, ]", "[, 0]", "[ ]", "[,]",
-                "[1.0]", "[true]", "[]", "[0, 1, 2, 3, 4, 5]", f"[{HUGE}]"],
+                "[1.0]", "[true]", "[]", "[0, 1, 2, 3, 4, 5]", f"[{HUGE}]",
+                # leading zeros and empty runs after a first member, and 19 and 20 digits
+                "[0, 00]", "[1, 010]", "[007]", "[0, , 1]", "[0,, 1]", "[9223372036854775807]",
+                "[9999999999999999999]", "[0, 10000000000000000000]"],
     "set_size": ["01", "-0", "00", BIG, HUGE, "-1", "1.0", "true", "0", "2"],
     "true_label": ["01", "-0", "00", BIG, f"-{BIG}0", "-1", "1.0", "null", '"x"'],
 }
@@ -164,7 +167,7 @@ WRITTEN = [{"sample_id": '"a"', "members": "[0, 2]", "set_size": "2", "true_labe
            {"sample_id": '"c"', "members": "[1]", "set_size": "1", "true_label": "1"}]
 
 
-@pytest.mark.parametrize("row", [1, 2])  # an empty set and a singleton
+@pytest.mark.parametrize("row", [0, 1, 2])  # the first set, an empty set and a singleton
 @pytest.mark.parametrize("key, text", [(key, text) for key, texts in ODD_FIELDS.items()
                                        for text in texts])
 def test_each_odd_field_gives_the_per_row_result(key, text, row):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,26 @@ class TestSyntheticSpec:
             SyntheticSpec(k=2, sharpness=0.0)
         with pytest.raises(DataError):
             SyntheticSpec(k=2, noise=1.0)
+
+    @pytest.mark.parametrize("sharpness", [math.inf, 1e308])
+    def test_rejects_a_sharpness_whose_target_variate_overflows(self, sharpness):
+        with pytest.raises(DataError, match=r"^sharpness \(--sharpness\) .* is too large"):
+            SyntheticSpec(k=3, sharpness=sharpness)
+
+    def test_the_largest_accepted_sharpness_generates_finite_rows(self):
+        top = 53 * math.log(2)  # the largest variate: -log1p(-u) at u = 1 - 2**-53
+        assert float(-np.log1p(-(1.0 - 2.0**-53))) == top
+        largest = sys.float_info.max / top
+        while not math.isfinite((1.0 + largest) * top):
+            largest = math.nextafter(largest, 0.0)
+        while math.isfinite((1.0 + math.nextafter(largest, math.inf)) * top):
+            largest = math.nextafter(largest, math.inf)
+        with pytest.raises(DataError):
+            SyntheticSpec(k=4, sharpness=math.nextafter(largest, math.inf))
+        # numpy's overflow warnings are errors under this suite's filterwarnings
+        d = generate(SyntheticSpec(k=4, seed=2, sharpness=largest, noise=0.3), 500)
+        assert np.isfinite(d.probs).all()
+        assert list(d.violations) == []
 
 
 class TestGenerate:
