@@ -8,8 +8,9 @@ INFO, WARNING, ERROR; default WARNING, also for any other value).
 
 ``--help`` and usage errors need only argparse: numpy, the layers,
 ``logging``, ``json`` and ``pathlib`` load only once a command's arguments
-have passed the usage checks.  A command still loads all of them, so its
-start-up is as before; only ``--help`` and usage errors answer sooner.
+have passed the usage checks.  Then a command loads only the layers it
+runs (``_import_layers``): ``calibrate`` loads neither the predictor nor the
+metrics, and only ``simulate`` loads the synthetic-data layer.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _threshold_json(threshold: float):
 
 
 def cmd_calibrate(args) -> int:
-    dataset = _load_input(args.input, args.classes)
+    dataset = cgio.require_samples(_load_input(args.input, args.classes), args.input,
+                                   "calibration file")
     result = calibrate(dataset, Alpha(args.alpha))
     artifact = {
         "alpha": result.alpha,
@@ -150,7 +152,8 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _print_summary(report, rows: list[list[str]]) -> None:
+def _print_summary(report) -> None:
+    rows = cgio.report_rows(report)
     width = max(len(name) for name, *_ in rows)
     print(f"{'class':<{width}}  recall  avg_set_size  strict_coverage")
     for name, recall, avg_set_size, strict_coverage in rows:
@@ -162,15 +165,16 @@ def _print_summary(report, rows: list[list[str]]) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load_input(args.input, args.classes)
+    dataset = cgio.require_samples(_load_input(args.input, args.classes), args.input, "test file")
+    if args.classes:  # the report CSV holds the class names
+        cgio.require_csv_safe(dataset.universe.names, f"classes file {args.classes}: class name")
     if args.predictions:
         sets = cgio.load_predictions(args.predictions, dataset.universe.k, dataset.ids)
     else:
         sets = predict_batch(dataset, _read_artifact(args.calibration, dataset.universe))
     report = evaluate(dataset, sets)
-    rows = cgio.report_rows(report)
-    cgio.write_report(report, args.out_json, args.out_csv, rows)
-    _print_summary(report, rows)
+    cgio.write_report(report, args.out_json, args.out_csv)
+    _print_summary(report)
     return EXIT_OK
 
 

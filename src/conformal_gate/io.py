@@ -146,22 +146,26 @@ def write_atomic(path: str | Path, text: str) -> None:
 
     The file gets the mode a plain ``open`` gives it (0o666 less the umask).
     The file is synced to disk before the rename and its directory after it.
+    An OSError while writing names ``path``, with the errno it had.
     """
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:  # name the file the caller asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     directory = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(directory)
@@ -308,6 +312,18 @@ def load_probabilities(path: str | Path, universe: ClassUniverse | None = None) 
     return _load_csv(path, universe)
 
 
+def require_samples(dataset: Dataset, path: str | Path, what: str) -> Dataset:
+    """``dataset``, loaded from ``path``, unless it holds no sample: then a ParseError.
+
+    The error names ``what`` and the file, and cites the line after its last
+    record, as :func:`load_predictions` does for a file short of sets: line 2,
+    after a CSV header, or line 1 of a JSONL file.
+    """
+    if not len(dataset):
+        raise ParseError(f"{what} {path} holds no samples", line=1 if _is_jsonl(path) else 2)
+    return dataset
+
+
 def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
     text = _read_text(path)
     c_reader, lines = "\x1f" not in text, text.splitlines()
@@ -408,7 +424,8 @@ def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
 _CSV_UNSAFE_ID = re.compile('[,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ud800-\udfff]')
 
 
-def _require_csv_safe(cells, what: str) -> None:
+def require_csv_safe(cells, what: str) -> None:
+    """A DataError naming ``what`` and the first cell that a CSV cell cannot hold."""
     for cell in cells:
         if _CSV_UNSAFE_ID.search(cell):
             raise DataError(
@@ -418,7 +435,7 @@ def _require_csv_safe(cells, what: str) -> None:
 
 
 def dataset_csv_text(dataset: Dataset) -> str:
-    _require_csv_safe(dataset.ids, "sample_id")
+    require_csv_safe(dataset.ids, "sample_id")
     header = "sample_id,true_label," + ",".join(f"p_{i}" for i in range(dataset.universe.k))
     rows = zip(dataset.ids, dataset.labels.tolist(), dataset.probs.tolist())
     return "\n".join([header, *(f"{sample_id},{label}," + ",".join(map(repr, probs))
@@ -694,16 +711,14 @@ def report_rows(report: EvaluationReport) -> list[list[str]]:
     return [[name, *map(_cell, values)] for name, *values in (*rows, overall)]
 
 
-def report_csv_text(report: EvaluationReport, rows: list[list[str]] | None = None) -> str:
+def report_csv_text(report: EvaluationReport) -> str:
     """Per-class metric table: class rows, then an overall row.
 
-    The overall row's recall column carries the accuracy.  ``rows`` is
-    :func:`report_rows` of the report, when the caller has it.  A class name
-    that :func:`_require_csv_safe` rejects is a DataError.
+    The overall row's recall column carries the accuracy.  A class name
+    that :func:`require_csv_safe` rejects is a DataError.
     """
-    _require_csv_safe(report.class_names, "class name")
-    rows = report_rows(report) if rows is None else rows
-    lines = ["class,recall,avg_set_size,strict_coverage", *map(",".join, rows)]
+    require_csv_safe(report.class_names, "class name")
+    lines = ["class,recall,avg_set_size,strict_coverage", *map(",".join, report_rows(report))]
     return "\n".join(lines) + "\n"
 
 
@@ -712,50 +727,27 @@ def report_csv_text(report: EvaluationReport, rows: list[list[str]] | None = Non
 _CELL, _ROW = ",\n      ", "\n    ],\n    [\n      "
 
 
-def _texts(keys: np.ndarray, render: Callable[[int], str]) -> np.ndarray:
-    """``render`` of each key, as an object array holding one string per distinct key.
-
-    The distinct keys come from one sort, which on numpy 2.4 is several times
-    faster than ``np.unique`` on an array of few distinct values.
-    """
-    ordered = np.sort(keys)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    return np.array(list(map(render, distinct.tolist())), dtype=object)[
-        np.searchsorted(distinct, keys)]
-
-
 def _matrix_text(counts: np.ndarray) -> str:
     """``json.dumps(counts.tolist(), indent=2)`` as the report object's last value.
 
-    The text of the all-zero matrix is one template; each nonzero count is
-    written over its cell's ``"0"``, at an offset computed with numpy.  The
-    template text between two nonzero cells of one row depends only on how
-    many columns apart they are, so it is one shared string per distance;
-    only text that spans rows is sliced from the template, at most once per
-    row.  Python-level work is O(rows + distinct counts and distances), not
-    O(cells).
+    The text of the all-zero matrix is one template, and numpy computes the
+    offset of each nonzero cell's ``"0"`` in it.  One loop over the nonzero
+    cells, in order, takes the template text up to each one and the count's
+    own text, then the template's tail: Python-level work is O(nonzero
+    cells), never more than ``n_test``, not O(cells).
     """
     rows, cols = counts.shape
     if not counts.size:  # no rows, or rows of no cells
         return json.dumps(counts.tolist(), indent=2).replace("\n", "\n  ")
     template = _ROW.join([_CELL.join(["0"] * cols)] * rows)
     flat = np.flatnonzero(counts)
-    row = flat // cols
-    starts = flat * (1 + len(_CELL)) + row * (len(_ROW) - len(_CELL))  # of each nonzero's "0"
-    # gap i runs from the end of nonzero cell i - 1 (or the start) to nonzero cell i (or the end)
-    in_row = np.zeros(flat.size + 1, dtype=bool)
-    in_row[1:-1] = row[1:] == row[:-1]
-    pieces = np.empty(2 * flat.size + 1, dtype=object)
-    gaps = pieces[0::2]
-    gaps[in_row] = _texts(np.diff(flat)[in_row[1:-1]], lambda d: _CELL + ("0" + _CELL) * (d - 1))
-    crossing = ~in_row
-    begins = np.r_[0, starts + 1][crossing].tolist()
-    ends = np.r_[starts, len(template)][crossing].tolist()
-    gaps[crossing] = [template[begin:end] for begin, end in zip(begins, ends)]
-    pieces[1::2] = _texts(counts.reshape(-1)[flat], str)
-    return f"[\n    [\n      {''.join(pieces.tolist())}\n    ]\n  ]"
+    starts = flat * (1 + len(_CELL)) + flat // cols * (len(_ROW) - len(_CELL))  # of each "0"
+    pieces, end = [], 0
+    for start, count in zip(starts.tolist(), counts.reshape(-1)[flat].tolist()):
+        pieces += template[end:start], str(count)
+        end = start + 1
+    pieces.append(template[end:])
+    return f"[\n    [\n      {''.join(pieces)}\n    ]\n  ]"
 
 
 def report_json_text(report: EvaluationReport) -> str:
@@ -763,20 +755,17 @@ def report_json_text(report: EvaluationReport) -> str:
 
     ``json.dumps`` encodes with pure Python whenever ``indent`` is set, so
     it writes every key but the last; the last, the K x K confusion matrix,
-    is :func:`_matrix_text`, whose Python-level work grows with the nonzero
-    counts (never more than ``n_test``) rather than with K².
+    is :func:`_matrix_text`, one loop over the nonzero counts (never more
+    than ``n_test``) rather than over K² cells.
     """
     head = json.dumps(report.to_json_obj(confusion=False), indent=2)[:-2]  # up to the closing "\n}"
     return f'{head},\n  "confusion_matrix": {_matrix_text(report.confusion)}\n}}\n'
 
 
-def write_report(report: EvaluationReport, json_path: str | Path, csv_path: str | Path,
-                 rows: list[list[str]] | None = None) -> None:
-    """Write the report JSON and the per-class report CSV, or neither when one cannot be rendered.
-
-    ``rows`` is :func:`report_rows` of the report, when the caller has it.
-    """
-    json_text, csv_text = report_json_text(report), report_csv_text(report, rows)
+def write_report(report: EvaluationReport, json_path: str | Path, csv_path: str | Path
+                 ) -> None:
+    """Write the report JSON and the per-class report CSV, or neither when one cannot be rendered."""
+    json_text, csv_text = report_json_text(report), report_csv_text(report)
     write_atomic(json_path, json_text)
     write_atomic(csv_path, csv_text)
 

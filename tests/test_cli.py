@@ -122,6 +122,17 @@ class TestPredictCommand:
         for row in out.read_text().splitlines():
             assert json.loads(row)["members"] == [0, 1, 2]
 
+    def test_an_output_in_a_missing_directory_exits_1_naming_it(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        self._artifact(tmp_path, 0.5)
+        one_hot_csv(tmp_path, n=4, name="test.csv")
+        assert run("predict", "--calibration", "artifact.json", "--input", "test.csv",
+                   "--out", "missing/sets.jsonl") == 1
+        assert capsys.readouterr() == (
+            "", "i/o error: [Errno 2] No such file or directory: 'missing/sets.jsonl'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "test.csv"]
+
     def test_empty_input_gives_empty_output(self, tmp_path):
         artifact = self._artifact(tmp_path, 0.5)
         test = tmp_path / "test.csv"
@@ -234,7 +245,8 @@ class TestEvaluateCommand:
         assert run("evaluate", "--calibration", str(artifact), "--input", str(data),
                    "--classes", str(classes),
                    "--out-json", str(out_json), "--out-csv", str(out_csv)) == 2
-        assert f"class name {name!r} cannot be written to CSV" in capsys.readouterr().err
+        assert (f"error: classes file {classes}: class name {name!r} cannot be written to CSV"
+                in capsys.readouterr().err)
         assert not out_json.exists() and not out_csv.exists()
 
     def test_mismatched_prediction_count_exits_2(self, tmp_path):
@@ -395,13 +407,22 @@ class TestCsvWithoutRowsOrWithBom:
 
     @pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["header-only", "blank-lines"])
     @pytest.mark.parametrize("command, message", [
-        ("calibrate", "error: calibration dataset is empty\n"),
-        ("evaluate", "error: no samples to evaluate\n"),
+        ("calibrate", "error: line 2: calibration file d.csv holds no samples\n"),
+        ("evaluate", "error: line 2: test file d.csv holds no samples\n"),
     ])
     def test_no_rows_exits_2(self, tmp_path, capsys, body, command, message):
         (tmp_path / "d.csv").write_text(self.HEADER + body)
         assert run(*self.ARGV[command]) == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command, what", [("calibrate", "calibration"), ("evaluate", "test")])
+    def test_a_jsonl_of_no_records_exits_2_citing_line_1(self, tmp_path, capsys, command, what):
+        (tmp_path / "d.jsonl").write_text("\n \n")
+        (tmp_path / "c.json").write_text('[{"index": 0, "name": "a"}, {"index": 1, "name": "b"}]')
+        argv = [arg.replace("d.csv", "d.jsonl") for arg in self.ARGV[command]]
+        assert run(*argv, "--classes", "c.json") == 2
+        assert capsys.readouterr().err == f"error: line 1: {what} file d.jsonl holds no samples\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["art.json", "c.json", "d.jsonl"]
 
     @pytest.mark.parametrize("command", ["calibrate", "predict", "evaluate"])
     def test_byte_order_mark_exits_2_naming_it(self, tmp_path, capsys, command):

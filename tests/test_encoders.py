@@ -94,17 +94,21 @@ EDGE_COUNTS = (1, 9, 10, 99, 100, 999, 1000, 10**12 - 1, 10**12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 600), st.sampled_from(["none", "one", "diagonal", "sparse", "dense"]),
+@given(st.integers(2, 600),
+       st.sampled_from(["none", "one", "diagonal", "sparse", "dense", "edges"]),
        st.integers(0, 2**32 - 1))
 @example(600, "dense", 1)
 @example(500, "diagonal", 2)
 @example(500, "sparse", 3)
+@example(500, "edges", 4)
 def test_the_template_matrix_equals_the_cell_by_cell_one(k, fill, seed):
     rng = np.random.default_rng(seed)
     counts = np.zeros(k * k, dtype=np.int64)
     nonzero = {"none": [], "one": rng.integers(0, k * k, 1), "diagonal": np.arange(k) * (k + 1),
                "sparse": rng.integers(0, k * k, k),
-               "dense": np.flatnonzero(rng.random(k * k) < 0.9)}[fill]
+               "dense": np.flatnonzero(rng.random(k * k) < 0.9),
+               # the first and last cell of each row, where one row's text meets the next's
+               "edges": (np.arange(k)[:, None] * k + [0, k - 1]).reshape(-1)}[fill]
     n = len(nonzero)
     counts[nonzero] = np.where(rng.random(n) < 0.5, rng.choice(EDGE_COUNTS, n),
                                rng.integers(1, 10**12, n, endpoint=True))

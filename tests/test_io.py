@@ -294,6 +294,20 @@ class TestWriteAtomic:
         assert os.stat(tmp_path / "out.txt").st_mode == 0o100644
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_an_unwritable_path_is_named_and_nothing_is_left(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as raised:
+            write_atomic(path, "x\n")
+        assert raised.value.filename == str(path)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_directory_in_the_way_is_named_and_nothing_is_left(self, tmp_path):
+        (tmp_path / "out.txt").mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            write_atomic(tmp_path / "out.txt", "x\n")
+        assert raised.value.filename == str(tmp_path / "out.txt")
+        assert os.listdir(tmp_path) == ["out.txt"] and not os.listdir(tmp_path / "out.txt")
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
