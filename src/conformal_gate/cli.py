@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 data/validation error, 3 usage
 error.  Every command is deterministic given its flags (all randomness is
-seeded explicitly), and output files are written atomically.  The
+seeded explicitly), and a command's output files are written together
+(``io.write_texts``): a command that fails leaves none of them.  The
 ``CONFORMAL_GATE_LOG`` environment variable sets the log level (DEBUG,
 INFO, WARNING, ERROR; default WARNING, also for any other value).
 
@@ -97,9 +98,10 @@ def cmd_calibrate(args) -> int:
         "input_sha256": cgio.file_digest(args.input),
         "universe_sha256": cgio.universe_digest(dataset.universe),
     }
-    cgio.write_json(args.out, artifact)
+    outputs = [(args.out, cgio.json_text(artifact))]
     if args.curve:
-        cgio.write_curve(export_calibration_curve(result), args.curve)
+        outputs.append((args.curve, export_calibration_curve(result)))
+    cgio.write_texts(outputs)
     shown = "all_inclusive" if result.is_all_inclusive else f"{result.threshold:.6f}"
     print(f"calibrated on n={result.n} (alpha={result.alpha}): threshold {shown}")
     return EXIT_OK
@@ -192,12 +194,13 @@ def cmd_simulate(args) -> int:
         alpha=Alpha(args.alpha),
         n_seeds=args.seeds,
     )
-    cgio.write_json(args.out, result.to_json_obj())
+    outputs = [(args.out, cgio.json_text(result.to_json_obj()))]
     if args.write_data:
         os.makedirs(args.write_data, exist_ok=True)
         calib, test = trial_data(spec, args.seeds - 1, args.n_calib, args.n_test)
-        cgio.write_dataset(calib, os.path.join(args.write_data, "calibration.csv"))
-        cgio.write_dataset(test, os.path.join(args.write_data, "test.csv"))
+        outputs += [(os.path.join(args.write_data, name), cgio.dataset_csv_text(data))
+                    for name, data in (("calibration.csv", calib), ("test.csv", test))]
+    cgio.write_texts(outputs)
     print(
         f"coverage over {args.seeds} seeds: mean={result.mean:.4f} std={result.std:.4f}"
         f" min={result.min:.4f} max={result.max:.4f} (target {1 - args.alpha:.4f})"

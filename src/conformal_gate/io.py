@@ -141,41 +141,57 @@ def _json_row(row: str, line: int) -> Any:
         raise ParseError(f"bad JSON: {exc}", line=line) from exc
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and rename, never a partial file.
+def write_texts(outputs: Sequence[tuple[str | Path, str]]) -> None:
+    """Write each (path, text) pair's text to its path: all of them, or none.
 
-    The file gets the mode a plain ``open`` gives it (0o666 less the umask).
-    The file is synced to disk before the rename and its directory after it.
-    An OSError while writing names ``path``, with the errno it had.
+    Each text goes to a temp file in its path's directory, and every temp
+    file is written and synced to disk before the first is renamed over its
+    path; the directories are synced after the renames.  So a failure while
+    writing any of them (a missing directory, a full disk, a text UTF-8
+    cannot encode) unlinks every temp file and leaves no output.  A rename
+    that fails after an earlier one succeeded, say because a later path is a
+    directory, leaves the earlier outputs written.  Each file gets the mode
+    a plain ``open`` gives it (0o666 less the umask).  An OSError names the
+    path as the caller gave it, with the errno it had.
     """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    staged: list[Path] = []
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, text in outputs:
+            target = Path(path)
+            tmp = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
+        for tmp, (path, _) in zip(staged, outputs):
             os.replace(tmp, path)
-        except BaseException:
+    except BaseException as exc:
+        for tmp in staged:
             try:
                 os.unlink(tmp)
-            except OSError:
+            except OSError:  # renamed already
                 pass
-            raise
-    except OSError as exc:  # name the file the caller asked for, not the temp file
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    directory = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+        if isinstance(exc, OSError):  # name the file the caller asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+    for parent in dict.fromkeys(tmp.parent for tmp in staged):
+        directory = os.open(parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
-def write_json(path: str | Path, obj: Any) -> None:
-    """Write ``obj`` as JSON indented by 2, and a newline, with :func:`write_atomic`."""
-    write_atomic(path, json.dumps(obj, indent=2) + "\n")
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path via a temp file and rename, never a partial file (:func:`write_texts`)."""
+    write_texts([(path, text)])
+
+
+def json_text(obj: Any) -> str:
+    """``obj`` as JSON indented by 2, and a newline."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +355,7 @@ def _load_csv(path: str | Path, universe: ClassUniverse | None) -> Dataset:
         universe = ClassUniverse.generic(len(header) - 2)
     rows, numbers = _non_blank(lines[1:], 2)
     columns, error = _csv_columns(rows, numbers, universe, len(header), c_reader)
+    del lines, rows  # the row texts go before the dataset is built and validated
     return _checked(universe, columns, numbers, error)
 
 
@@ -413,9 +430,12 @@ def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
 
     rows, lines = _non_blank(_read_text(path, lf_lines=True).split("\n"), 1)
     parsed, error = _parse_rows(rows, lines, parse)
+    del rows
     if universe is None:  # no row, or the first row failed before its probs were counted
         raise error or ParseError("empty JSONL file: cannot infer the class universe", line=1)
-    return _checked(universe, _row_columns(parsed, universe.k), lines, error)
+    columns = _row_columns(parsed, universe.k)
+    del parsed  # the row texts and per-row lists go before the dataset is built and validated
+    return _checked(universe, columns, lines, error)
 
 
 # The loader splits the file with str.splitlines and each row on ",", with
@@ -764,10 +784,8 @@ def report_json_text(report: EvaluationReport) -> str:
 
 def write_report(report: EvaluationReport, json_path: str | Path, csv_path: str | Path
                  ) -> None:
-    """Write the report JSON and the per-class report CSV, or neither when one cannot be rendered."""
-    json_text, csv_text = report_json_text(report), report_csv_text(report)
-    write_atomic(json_path, json_text)
-    write_atomic(csv_path, csv_text)
+    """Write the report JSON and the per-class report CSV together (:func:`write_texts`)."""
+    write_texts([(json_path, report_json_text(report)), (csv_path, report_csv_text(report))])
 
 
 def write_curve(text: str, path: str | Path) -> None:

@@ -9,7 +9,7 @@ threshold (math.inf) admits every class, and an empty set is a legitimate
 The sets of n samples are one read-only bool matrix of shape [n, K]: row i,
 column k is True when class k is in sample i's set.  Metrics and the
 prediction JSONL work on that matrix; a :class:`PredictionSet` is built only
-when a caller indexes or iterates :class:`PredictionSets`.
+when a caller iterates :class:`PredictionSets`.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class PredictionSets:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int) -> PredictionSet:
-        return PredictionSet(self.ids[i], frozenset(np.flatnonzero(self.mask[i]).tolist()))
 
     def __iter__(self):
         return map(PredictionSet, self.ids, map(frozenset, self.by_set(np.nonzero(self.mask)[1])))

@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from conformal_gate.core_types import ClassUniverse, Dataset
 from conformal_gate.predictor import PredictionSets
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(request):
+    """Fail a test that leaves a hidden ``.*.tmp`` file under its tmp_path.
+
+    ``io.write_texts`` names its temp files so; a command that fails must unlink them.
+    """
+    root = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if root is not None:
+        left = sorted(os.path.relpath(os.path.join(folder, name), root)
+                      for folder, _, names in os.walk(root)
+                      for name in names if name.startswith(".") and name.endswith(".tmp"))
+        assert not left, f"temp files left behind: {left}"
 
 
 def one_hot(k: int, index: int) -> tuple[float, ...]:

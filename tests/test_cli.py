@@ -531,6 +531,36 @@ class TestOutputsThatNameOneFile:
         assert sorted(tmp_path.iterdir()) == inputs
 
 
+class TestOutputsAreWrittenTogether:
+    """When a later output cannot be written, no earlier one is left behind."""
+
+    ARGV = {
+        "calibrate": ["calibrate", "--input", "calib.csv", "--out", "a2.json",
+                      "--curve", "missing/c.csv"],
+        "evaluate": ["evaluate", "--calibration", "a.json", "--input", "calib.csv",
+                     "--out-json", "r.json", "--out-csv", "missing/r.csv"],
+        "simulate": ["simulate", "--k", "3", "--n-calib", "20", "--n-test", "20", "--seeds",
+                     "1", "--out", "t.json", "--write-data", "calib.csv"],
+    }
+    MESSAGES = {
+        "calibrate": "i/o error: [Errno 2] No such file or directory: 'missing/c.csv'\n",
+        "evaluate": "i/o error: [Errno 2] No such file or directory: 'missing/r.csv'\n",
+        "simulate": "i/o error: [Errno 17] File exists: 'calib.csv'\n",
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_exits_1_naming_the_path_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                         command):
+        monkeypatch.chdir(tmp_path)
+        one_hot_csv(tmp_path, n=20)
+        assert run("calibrate", "--input", "calib.csv", "--out", "a.json") == 0
+        capsys.readouterr()
+        inputs = sorted(tmp_path.iterdir())
+        assert run(*self.ARGV[command]) == 1
+        assert capsys.readouterr() == ("", self.MESSAGES[command])
+        assert sorted(tmp_path.iterdir()) == inputs
+
+
 class TestLogging:
     def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path, monkeypatch):
         """A library caller that configured no logging runs ``main(argv)`` four times."""

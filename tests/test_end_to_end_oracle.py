@@ -5,9 +5,9 @@ A drawn calibration file and test file go through ``calibrate``,
 exits 0 or 2, never 1.  On exit 2, stderr is the error that
 ``row_oracle.load_csv_rows`` raises on the file the command read.  On exit 0
 the artifact's threshold is the calibration score at rank
-``ceil((1 - alpha)(n + 1))``, taken in integers, or ``all_inclusive`` past
-n; each set is ``{k : 1 - p_k <= tau}``; and both reports give the share of
-test samples whose set holds their label.
+``ceil((1 - alpha)(n + 1))``, taken in rationals by ``row_oracle.exact_rank``,
+or ``all_inclusive`` past n; each set is ``{k : 1 - p_k <= tau}``; and both
+reports give the share of test samples whose set holds their label.
 
 Rows are drawn from small integer weights and from the one-hot cells of
 ``test_csv_differential``'s pools, and are repeated, so that scores tie at
@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from conformal_gate.cli import main
 from conformal_gate.core_types import DataError
 
-from row_oracle import load_csv_rows
+from row_oracle import exact_rank, load_csv_rows
 from test_csv_differential import LABELS, ONE, OTHER, ZERO
 
 ALPHAS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95)
@@ -105,11 +105,9 @@ def oracle_load(path: Path):
 
 
 def threshold_at_rank(scores: list[float], alpha: float) -> float:
-    """The score at rank ceil((1 - alpha)(n + 1)), alpha being the decimal ``repr`` prints."""
-    a = Fraction(repr(alpha))
-    n = len(scores)
-    rank = -(-(a.denominator - a.numerator) * (n + 1) // a.denominator)
-    return sorted(scores)[rank - 1] if rank <= n else math.inf
+    """The score at rank ``exact_rank(n, alpha)``, or math.inf past n."""
+    rank = exact_rank(len(scores), alpha)
+    return sorted(scores)[rank - 1] if rank <= len(scores) else math.inf
 
 
 TWO_ROWS = "sample_id,true_label,p_0,p_1\ns0,0,1,0\ns1,{},0,1\n"

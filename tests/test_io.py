@@ -32,6 +32,7 @@ from conformal_gate.io import (
     write_dataset,
     write_predictions,
     write_report,
+    write_texts,
 )
 from conformal_gate.metrics import evaluate
 from conformal_gate.predictor import PredictionSets, predict_batch
@@ -307,6 +308,36 @@ class TestWriteAtomic:
             write_atomic(tmp_path / "out.txt", "x\n")
         assert raised.value.filename == str(tmp_path / "out.txt")
         assert os.listdir(tmp_path) == ["out.txt"] and not os.listdir(tmp_path / "out.txt")
+
+
+class TestWriteTexts:
+    def test_every_output_is_written(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        write_texts([(tmp_path / "a.json", "{}\n"), (tmp_path / "sub" / "b.csv", "x\n")])
+        assert (tmp_path / "a.json").read_text() == "{}\n"
+        assert (tmp_path / "sub" / "b.csv").read_text() == "x\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.json", "sub"]
+        assert os.listdir(tmp_path / "sub") == ["b.csv"]
+
+    def test_a_missing_second_directory_leaves_neither_output(self, tmp_path):
+        second = tmp_path / "missing" / "b.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            write_texts([(tmp_path / "a.json", "{}\n"), (second, "x\n")])
+        assert raised.value.filename == str(second)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_text_that_cannot_be_encoded_leaves_neither_output(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_texts([(tmp_path / "a.json", "{}\n"), (tmp_path / "b.csv", "\ud800\n")])
+        assert os.listdir(tmp_path) == []
+
+    def test_a_later_rename_that_fails_keeps_the_earlier_output(self, tmp_path):
+        (tmp_path / "b.csv").mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            write_texts([(tmp_path / "a.json", "{}\n"), (tmp_path / "b.csv", "x\n")])
+        assert raised.value.filename == str(tmp_path / "b.csv")
+        assert sorted(os.listdir(tmp_path)) == ["a.json", "b.csv"]
+        assert not os.listdir(tmp_path / "b.csv")
 
 
 class TestRoundTrips:

@@ -194,7 +194,7 @@ class TestPredictionSets:
         assert sets.sizes.tolist() == [2, 0, 1]
         assert not sets.mask.flags.writeable and not sets.sizes.flags.writeable
         assert len(sets) == 3
-        assert sets[0] == PredictionSet("a", frozenset({0, 2}))
+        assert next(iter(sets)) == PredictionSet("a", frozenset({0, 2}))
         assert [ps.set_size for ps in sets] == [2, 0, 1]
 
     def test_ids_must_match_the_mask_rows(self):

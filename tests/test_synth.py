@@ -11,6 +11,8 @@ import pytest
 from conformal_gate.core_types import DataError
 from conformal_gate.synth import SyntheticSpec, coverage_trial, generate
 
+from row_oracle import exact_rank
+
 
 class TestSyntheticSpec:
     def test_default_weights_are_uniform(self):
@@ -153,7 +155,7 @@ def test_per_seed_coverage_follows_the_beta_binomial_law(base_seed):
     # covered with probability U_(r) ~ Beta(r, n + 1 - r), r = ceil((1 - alpha)(n + 1)):
     # the covered count of each seed is BetaBinomial(n_test, r, n + 1 - r).
     n, n_test, alpha, seeds = 50, 1000, 0.05, 400
-    r = math.ceil((1 - alpha) * (n + 1))
+    r = exact_rank(n, alpha)
     pmf = beta_binomial_pmf(n_test, r, n + 1 - r)
     support = np.arange(n_test + 1) / n_test
     mean = float(pmf @ support)
