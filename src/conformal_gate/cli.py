@@ -1,9 +1,9 @@
 """Command-line front end: calibrate, predict, evaluate, simulate.
 
-Exit codes: 0 success, 1 I/O failure, 2 data/validation error, 3 usage
-error.  Every command is deterministic given its flags (all randomness is
-seeded explicitly), and a command's output files are written together
-(``io.write_texts``): a command that fails leaves none of them.  The
+Exit codes: 0 success, 1 I/O failure or out of memory, 2 data/validation
+error, 3 usage error.  Every command is deterministic given its flags (all
+randomness is seeded explicitly), and a command's output files are written
+together (``io.write_texts``): a command that fails leaves none of them.  The
 ``CONFORMAL_GATE_LOG`` environment variable sets the log level (DEBUG,
 INFO, WARNING, ERROR; default WARNING, also for any other value).
 
@@ -195,12 +195,26 @@ def cmd_simulate(args) -> int:
         n_seeds=args.seeds,
     )
     outputs = [(args.out, cgio.json_text(result.to_json_obj()))]
+    made: list[str] = []  # the directories --write-data makes, deepest first
     if args.write_data:
-        os.makedirs(args.write_data, exist_ok=True)
         calib, test = trial_data(spec, args.seeds - 1, args.n_calib, args.n_test)
         outputs += [(os.path.join(args.write_data, name), cgio.dataset_csv_text(data))
                     for name, data in (("calibration.csv", calib), ("test.csv", test))]
-    cgio.write_texts(outputs)
+        parent = os.path.abspath(args.write_data)
+        while not os.path.lexists(parent):
+            made.append(parent)
+            parent = os.path.dirname(parent)
+    try:
+        if args.write_data:
+            os.makedirs(args.write_data, exist_ok=True)
+        cgio.write_texts(outputs)
+    except BaseException:
+        for directory in made:  # empty: write_texts unlinks its temp files when it fails
+            try:
+                os.rmdir(directory)
+            except OSError:  # makedirs failed before it made this one
+                pass
+        raise
     print(
         f"coverage over {args.seeds} seeds: mean={result.mean:.4f} std={result.std:.4f}"
         f" min={result.min:.4f} max={result.max:.4f} (target {1 - args.alpha:.4f})"
@@ -299,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # numpy's names the array; a bare one has no message
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_IO
 
 

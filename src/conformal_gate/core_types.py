@@ -77,17 +77,18 @@ class ClassUniverse:
     """The ordered set of K classes every dataset and matrix is indexed by."""
 
     names: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         if len(names) < 2:
             raise DataError("a class universe needs at least 2 classes")
-        seen = set()
-        for name in names:
-            if name in seen:
+        index: dict[str, int] = {}
+        for i, name in enumerate(names):
+            if index.setdefault(name, i) != i:
                 raise DataError(f"duplicate class name {name!r}")
-            seen.add(name)
+        object.__setattr__(self, "_index", index)
 
     @property
     def k(self) -> int:
@@ -99,10 +100,7 @@ class ClassUniverse:
         return cls(tuple(f"class_{i}" for i in range(k)))
 
     def index_of(self, name: str) -> int | None:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            return None
+        return self._index.get(name)
 
 
 @dataclass(frozen=True)

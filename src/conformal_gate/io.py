@@ -366,8 +366,9 @@ def _csv_columns(
 
     ``rows`` are the non-blank CSV rows, ``lines`` their 1-based lines.  One
     call of numpy's C reader splits each row into its raw id and label
-    strings and its K numbers, and rejects a row of any other width.  When it
-    rejects a row, a cell or a label, or ``c_reader`` is false (the text holds
+    strings and its K numbers, and rejects a row of any other width; each
+    distinct label string then goes through :func:`_resolve_label` once.  When
+    either rejects a row, a cell or a label, or ``c_reader`` is false (the text holds
     a U+001F, which it strips around a cell), the row loop reads each row with
     ``float()``, to the same bits, checking its field count (``width`` is the
     header's), probability count, label and values in that order.
@@ -379,12 +380,10 @@ def _csv_columns(
         try:
             table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1,
                                encoding=None)
-            try:
-                labels = table["label"].astype(np.int64)  # int() of each string
-            except (ValueError, OverflowError):  # class names, or beyond int64
-                labels = np.array([_resolve_label(raw, universe, None) for raw in table["label"]])
-            if labels.min() >= 0 and labels.max() < k:
-                return (table["id"].tolist(), labels, table["p"]), None
+            raw = table["label"].tolist()
+            index = {label: _resolve_label(label, universe, None) for label in set(raw)}
+            labels = np.fromiter(map(index.__getitem__, raw), np.int64, len(raw))
+            return (table["id"].tolist(), labels, table["p"]), None
         except ValueError:  # a bad row or label, or a spelling only float() reads, such as 1_0
             pass
 

@@ -9,6 +9,7 @@ import logging
 
 import pytest
 
+from conformal_gate import cli
 from conformal_gate.calibration import Alpha, calibrate
 from conformal_gate.cli import main
 from conformal_gate.io import load_predictions, load_probabilities, write_dataset
@@ -465,6 +466,27 @@ class TestSimulateCommand:
             " variate, up to 53 ln 2, times 1 + sharpness overflows a float\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_size_numpy_cannot_allocate_exits_1_in_one_line(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """853 PiB, past any host's address space, so numpy refuses it before touching memory."""
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", "--n-test", str(10**16), "--seeds", "1", "--out", "t.json",
+                   "--write-data", "H") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("out of memory: Unable to allocate 853. PiB for an array with shape")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_memory_error_with_no_message_exits_1_in_one_line(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def bare(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", bare)
+        assert run("simulate", "--out", str(tmp_path / "t.json")) == 1
+        assert capsys.readouterr() == ("", "out of memory\n")
+
     def test_write_data_emits_csvs(self, tmp_path):
         out_dir = tmp_path / "data"
         assert run("simulate", "--k", "3", "--n-calib", "50", "--n-test", "60",
@@ -541,11 +563,15 @@ class TestOutputsAreWrittenTogether:
                      "--out-json", "r.json", "--out-csv", "missing/r.csv"],
         "simulate": ["simulate", "--k", "3", "--n-calib", "20", "--n-test", "20", "--seeds",
                      "1", "--out", "t.json", "--write-data", "calib.csv"],
+        # the directories that --write-data made are removed
+        "simulate-new-dir": ["simulate", "--k", "3", "--n-calib", "20", "--n-test", "20",
+                             "--seeds", "1", "--out", "missing/t.json", "--write-data", "H/I"],
     }
     MESSAGES = {
         "calibrate": "i/o error: [Errno 2] No such file or directory: 'missing/c.csv'\n",
         "evaluate": "i/o error: [Errno 2] No such file or directory: 'missing/r.csv'\n",
         "simulate": "i/o error: [Errno 17] File exists: 'calib.csv'\n",
+        "simulate-new-dir": "i/o error: [Errno 2] No such file or directory: 'missing/t.json'\n",
     }
 
     @pytest.mark.parametrize("command", sorted(ARGV))
@@ -559,6 +585,16 @@ class TestOutputsAreWrittenTogether:
         assert run(*self.ARGV[command]) == 1
         assert capsys.readouterr() == ("", self.MESSAGES[command])
         assert sorted(tmp_path.iterdir()) == inputs
+
+    def test_a_failed_simulate_keeps_the_directories_it_did_not_make(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "H").mkdir()
+        assert run("simulate", "--k", "3", "--n-calib", "20", "--n-test", "20", "--seeds", "1",
+                   "--out", "missing/t.json", "--write-data", "H/I/J") == 1
+        assert capsys.readouterr() == (
+            "", "i/o error: [Errno 2] No such file or directory: 'missing/t.json'\n")
+        assert list(tmp_path.rglob("*")) == [tmp_path / "H"]
 
 
 class TestLogging:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conformal_gate.core_types import (
     Dataset,
     DimensionMismatchError,
     InvalidDatasetError,
+    LengthMismatchError,
     _fsum_rows,
     require_valid,
 )
@@ -42,6 +44,31 @@ class TestClassUniverse:
         assert universe.index_of("Shredder") == 1
         assert universe.index_of("nope") is None
         assert universe.names[0] == "Steel Sheets"
+
+    def test_the_first_name_seen_twice_is_named(self):
+        with pytest.raises(DataError, match=r"^duplicate class name 'b'$"):
+            ClassUniverse(("a", "b", "b", "a"))
+
+    def test_each_name_gives_its_index_and_the_lookup_is_not_compared(self):
+        names = ("Steel Sheets", "Shredder", " Shredder", "")
+        universe = ClassUniverse(list(names))
+        assert [universe.index_of(name) for name in names] == [0, 1, 2, 3]
+        assert universe.index_of("shredder") is None
+        assert universe == ClassUniverse(names)
+        assert hash(universe) == hash(ClassUniverse(names))
+        assert repr(universe) == f"ClassUniverse(names={names!r})"
+
+
+class TestDatasetShapes:
+    @pytest.mark.parametrize("labels, probs, shapes", [
+        ([0], [[0.5, 0.5]] * 2, "labels of shape (1,), probabilities of shape (2, 2)"),
+        ([[0, 1]], [[0.5, 0.5]] * 2, "labels of shape (1, 2), probabilities of shape (2, 2)"),
+        ([0, 1], [[0.5, 0.5]] * 3, "labels of shape (2,), probabilities of shape (3, 2)"),
+        ([0, 1], [0.5, 0.5], "labels of shape (2,), probabilities of shape (2,)"),
+    ])
+    def test_labels_or_rows_not_one_per_id_are_a_length_mismatch(self, labels, probs, shapes):
+        with pytest.raises(LengthMismatchError, match=f"^{re.escape(f'2 sample ids, {shapes}')}$"):
+            Dataset(ClassUniverse.generic(2), ("a", "b"), labels, probs)
 
 
 class TestProbVectorPolicy:

@@ -238,3 +238,21 @@ def test_a_u001f_in_the_header_only_gives_the_c_readers_bits(tmp_path):
     assert row_counts == [0, 200]
     assert c_read[0][0] == "ok"
     assert row_read == c_read
+
+
+def test_the_c_reader_resolves_each_distinct_label_once(tmp_path, monkeypatch):
+    """A per-row label path beside the C reader would resolve each row's label."""
+    labels = ["Shredder", "1", "Steel Sheets", " Shredder ", "Shredder", "1"] * 20
+    path = tmp_path / "d.csv"
+    path.write_text("sample_id,true_label,p_0,p_1\n"
+                    + "".join(f"s{i},{label},0.5,0.5\n" for i, label in enumerate(labels)))
+    resolve, calls = cgio._resolve_label, []
+
+    def counted(raw, universe, line):
+        calls.append(raw)
+        return resolve(raw, universe, line)
+
+    monkeypatch.setattr(cgio, "_resolve_label", counted)
+    dataset = _load_csv(path, ClassUniverse(("Steel Sheets", "Shredder")))
+    assert sorted(calls) == sorted(set(labels))
+    assert dataset.labels.tolist() == [1, 1, 0, 1, 1, 1] * 20

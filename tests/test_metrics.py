@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,3 +304,12 @@ class TestEvaluate:
                 uncertain_total=report.uncertain_total,
                 confusion=report.confusion,
             )
+
+
+class TestReportChecks:
+    @pytest.mark.parametrize("name", ["accuracy", "overall_strict_coverage", "marginal_coverage"])
+    @pytest.mark.parametrize("rate", [-0.25, 1.5, float("nan")])
+    def test_a_rate_outside_the_unit_interval_is_rejected(self, name, rate):
+        report = report_of(FOUR_SETS, FOUR_LABELS)
+        with pytest.raises(DataError, match=f"^{name} {re.escape(repr(rate))} outside \\[0, 1\\]$"):
+            replace(report, **{name: rate})
