@@ -26,6 +26,8 @@ EXIT_IO = 1
 EXIT_DATA = 2
 EXIT_USAGE = 3
 
+_WRITE_DATA_NAMES = ("calibration.csv", "test.csv")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -197,9 +199,8 @@ def cmd_simulate(args) -> int:
     outputs = [(args.out, cgio.json_text(result.to_json_obj()))]
     made: list[str] = []  # the directories --write-data makes, deepest first
     if args.write_data:
-        calib, test = trial_data(spec, args.seeds - 1, args.n_calib, args.n_test)
         outputs += [(os.path.join(args.write_data, name), cgio.dataset_csv_text(data))
-                    for name, data in (("calibration.csv", calib), ("test.csv", test))]
+                    for name, data in zip(_WRITE_DATA_NAMES, result.last_trial)]
         parent = os.path.abspath(args.write_data)
         while not os.path.lexists(parent):
             made.append(parent)
@@ -255,7 +256,7 @@ def _import_layers(command: str) -> None:
     finds and wraps them.
     """
     global cgio, ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve, DataError
-    global evaluate, predict_batch, SyntheticSpec, coverage_trial, trial_data
+    global evaluate, predict_batch, SyntheticSpec, coverage_trial
     from . import io as cgio
     from .calibration import ALL_INCLUSIVE, Alpha, calibrate, export_calibration_curve
     from .core_types import DataError
@@ -264,7 +265,7 @@ def _import_layers(command: str) -> None:
     if command == "evaluate":
         from .metrics import evaluate
     if command == "simulate":
-        from .synth import SyntheticSpec, coverage_trial, trial_data
+        from .synth import SyntheticSpec, coverage_trial
 
 
 def _shared_output(args) -> str | None:
@@ -272,7 +273,7 @@ def _shared_output(args) -> str | None:
     outputs = {f"--{name.replace('_', '-')}": path for name, path in vars(args).items()
                if name in ("out", "curve", "out_json", "out_csv") and path}
     if getattr(args, "write_data", None):
-        for name in ("calibration.csv", "test.csv"):
+        for name in _WRITE_DATA_NAMES:
             outputs[f"--write-data's {name}"] = os.path.join(args.write_data, name)
     seen: dict[str, str] = {}
     for option, path in outputs.items():

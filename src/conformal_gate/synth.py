@@ -22,7 +22,7 @@ fixed at K + 3 uniforms per example:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +38,9 @@ _S53 = np.uint64(53)
 _INV53 = 2.0**-53
 # The largest exponential variate, -log1p(-u) at the largest uniform u = 1 - 2**-53.
 _MAX_VARIATE = 53 * math.log(2)
+# The most classes a spec takes, far above any real class count, so that a mistyped k
+# is a data error before anything that grows with k is allocated.
+MAX_K = 100_000
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.k < 2:
             raise DataError(f"need at least 2 classes, got k={self.k}")
+        if self.k > MAX_K:
+            raise DataError(f"class count (--k) {self.k} is too large: at most {MAX_K} classes")
         if self.class_weights is None:
             weights = tuple(1.0 / self.k for _ in range(self.k))
         else:
@@ -119,6 +124,7 @@ class CoverageTrialResult:
     n_calib: int
     n_test: int
     k: int
+    last_trial: tuple[Dataset, Dataset] = field(repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,19 +141,6 @@ class CoverageTrialResult:
         }
 
 
-def trial_data(
-    spec: SyntheticSpec, trial: int, n_calib: int, n_test: int
-) -> tuple[Dataset, Dataset]:
-    """The calibration and test sets of one coverage trial.
-
-    Trial t generates them from independent substreams derived from
-    spec.seed: stream outputs 2t and 2t + 1 are their seeds.
-    """
-    calib = generate(replace(spec, seed=nth_output(spec.seed, 2 * trial)), n_calib)
-    test = generate(replace(spec, seed=nth_output(spec.seed, 2 * trial + 1)), n_test)
-    return calib, test
-
-
 def coverage_trial(
     spec: SyntheticSpec,
     n_calib: int,
@@ -157,8 +150,10 @@ def coverage_trial(
 ) -> CoverageTrialResult:
     """Empirical marginal coverage of the full calibrate-then-predict pipeline.
 
-    For each trial, the calibration and test sets of :func:`trial_data` are
-    generated, then coverage is measured on the test set.
+    Trial t draws its calibration and test sets from independent substreams
+    derived from spec.seed: stream outputs 2t and 2t + 1 are their seeds.
+    Coverage is then measured on the test set.  The last trial's two sets are
+    returned as ``last_trial``, which ``repr``, ``==`` and ``to_json_obj`` leave out.
     """
     if n_calib < 1:
         raise DataError(f"n_calib must be >= 1, got {n_calib}")
@@ -168,7 +163,8 @@ def coverage_trial(
         alpha = Alpha(alpha)
     coverages: list[float] = []
     for trial in range(n_seeds):
-        calib, test = trial_data(spec, trial, n_calib, n_test)
+        calib = generate(replace(spec, seed=nth_output(spec.seed, 2 * trial)), n_calib)
+        test = generate(replace(spec, seed=nth_output(spec.seed, 2 * trial + 1)), n_test)
         result = calibrate(calib, alpha)
         coverages.append(marginal_coverage(predict_batch(test, result), test.labels))
     values = np.asarray(coverages, dtype=np.float64)
@@ -182,4 +178,5 @@ def coverage_trial(
         n_calib=n_calib,
         n_test=n_test,
         k=spec.k,
+        last_trial=(calib, test),
     )

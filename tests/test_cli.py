@@ -9,19 +9,38 @@ import logging
 
 import pytest
 
-from conformal_gate import cli
+from conformal_gate import cli, synth
 from conformal_gate.calibration import Alpha, calibrate
 from conformal_gate.cli import main
 from conformal_gate.io import load_predictions, load_probabilities, write_dataset
 from conformal_gate.metrics import evaluate, marginal_coverage
 from conformal_gate.predictor import predict_batch
-from conformal_gate.synth import SyntheticSpec, generate
+from conformal_gate.synth import MAX_K, SyntheticSpec, generate
 
 from conftest import one_hot
+from test_startup import run_child
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+# Runs ``main(argv)`` in a child held to 1 GiB of address space, then prints its exit code,
+# its wall time in seconds, and what it wrote to stdout and stderr.  The limit turns an
+# allocation that grows with a flag into a MemoryError in the child, where without it the
+# allocation would grow until the host runs out of memory.  BLAS runs one thread, since
+# each thread it starts reserves address space.
+LIMITED_PROBE = """
+import contextlib, io, json, os, resource, sys, time
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conformal_gate.cli import main
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalue()]))
+"""
 
 
 def one_hot_csv(tmp_path, n=100, k=3, name="calib.csv"):
@@ -478,6 +497,15 @@ class TestSimulateCommand:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_oversized_k_exits_2_at_once_naming_the_flag(self, tmp_path):
+        done = run_child(LIMITED_PROBE, "simulate", "--k", str(10**11), "--out", "t.json",
+                         cwd=tmp_path)
+        code, seconds, out, err = json.loads(done.stdout)
+        assert (code, out, err) == (
+            2, "", f"error: class count (--k) {10**11} is too large: at most {MAX_K} classes\n")
+        assert seconds < 1.0
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_memory_error_with_no_message_exits_1_in_one_line(self, tmp_path, monkeypatch,
                                                                 capsys):
         def bare(args):
@@ -496,6 +524,14 @@ class TestSimulateCommand:
         test = load_probabilities(out_dir / "test.csv")
         assert len(calib) == 50
         assert len(test) == 60
+
+    def test_write_data_draws_each_trial_once(self, tmp_path, monkeypatch):
+        calls = []
+        draw = synth.generate
+        monkeypatch.setattr(synth, "generate", lambda spec, n: calls.append(n) or draw(spec, n))
+        assert run("simulate", "--k", "3", "--n-calib", "50", "--n-test", "60", "--seeds", "3",
+                   "--out", str(tmp_path / "t.json"), "--write-data", str(tmp_path / "d")) == 0
+        assert calls == [50, 60] * 3
 
     # seeds whose three trials give three different coverages
     @pytest.mark.parametrize("k, n_calib, n_test, alpha, seed", [

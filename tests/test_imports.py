@@ -1,22 +1,29 @@
-"""Every name a module under ``src/`` imports is used in that module, and every private
-module-level name it defines is read somewhere in ``src/``.
+"""Every name a module under ``src/`` imports is used in that module, every private
+module-level name it defines is read somewhere in ``src/``, and every public module-level
+function or class it defines is read in ``src/`` or named by the README or the benchmark.
 
 A stdlib ``ast`` scan, so it needs no linter: an import left behind when
 its last use goes fails here.  A name counts as used where it is read as a
 name anywhere in the module, or where it is listed in ``__all__``.
 ``from __future__`` imports are exempt.  Likewise a private helper (``_x``,
 not a dunder) whose last reader goes fails here: it counts as read where
-any ``src/`` module reads it as a name, as an attribute or in an import.
+any ``src/`` module reads it as a name, as an attribute or in an import.  A
+public helper (``def`` or ``class``) also counts as read where a ``src/``
+string holds its name, as the package's lazy export table does, and where
+``README.md`` or a ``bench/*.py`` file names it as a word: what a user or the
+benchmark's tracer calls stays.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -76,14 +83,21 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             defined.update((name, f"{module}: {name}") for name in targets if _private(name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= read_names(tree)
     return sorted(where for name, where in defined.items() if name not in read)
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: as a loaded name, an attribute or an imported name."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
 
 
 def test_the_scan_finds_an_unread_private_name():
@@ -97,3 +111,38 @@ def test_the_scan_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {str(p.relative_to(SRC)): p.read_text("utf-8") for p in MODULES}
     assert unread_private_names(sources) == []
+
+
+def orphaned_public_helpers(sources: dict[str, str], docs: str) -> list[str]:
+    """The public module-level functions and classes of ``sources`` that no module reads
+    and ``docs`` does not name.
+
+    A helper is read as a private name is, or as a string constant; ``docs``
+    names it where the name appears in it as a word.
+    """
+    defined: dict[str, str] = {}
+    read = set(re.findall(r"\w+", docs))
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.update((node.name, f"{module}: {node.name}") for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        read |= read_names(tree)
+        read.update(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
+def test_the_scan_finds_an_orphaned_public_helper():
+    sources = {"a": "def f(): pass\nclass C: pass\ndef g(): pass\ndef h(): pass\n_T = {'h': 1}\n",
+               "b": "from a import g\n"}
+    assert orphaned_public_helpers(sources, "") == ["a: C", "a: f"]
+    assert orphaned_public_helpers(sources, "call `f(x)`; C.") == []
+    assert orphaned_public_helpers({"a": "def write(): pass\n"}, "write_curve") == ["a: write"]
+
+
+def test_every_public_helper_is_read_or_named():
+    sources = {str(p.relative_to(SRC)): p.read_text("utf-8") for p in MODULES}
+    docs = "\n".join(path.read_text("utf-8")
+                     for path in [ROOT / "README.md", *sorted((ROOT / "bench").glob("*.py"))])
+    assert orphaned_public_helpers(sources, docs) == []

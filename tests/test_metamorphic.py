@@ -6,7 +6,7 @@ drawn with ``test_end_to_end_oracle``'s row strategy, and K class names.  The
 rows are written as CSV and as dataset JSONL, labelled by index and by name,
 and five runs of ``calibrate --curve``, ``predict`` and both ``evaluate`` paths
 by ``main(argv)`` read them; every command exits 0.
-Two relations need no oracle:
+Five relations need no oracle:
 
 * **Format.**  The same rows as CSV and as dataset JSONL give byte-identical
   outputs and stdout, with and without ``--classes``.  The artifacts differ only
@@ -16,6 +16,19 @@ Two relations need no oracle:
   the same outputs, stdout and stderr as the labels written as indices.  A
   CSV file of names goes through the C reader's label lookup, or through the
   row loop when a name holds a U+001F.
+* **Class permutation.**  Permuting the probability columns, the labels and
+  classes.json's indices together (the file keeps its entries' order) leaves
+  the artifact's threshold and the curve bit-identical, maps each set and
+  its ``true_label`` through the permutation, and permutes the report's class
+  rows, its per-class lists and its confusion matrix.  The argmax metrics
+  (recall, accuracy, the matrix) are compared only when no test row ties at
+  its maximum, since ``np.argmax`` takes the first of tied columns.
+* **Alpha nesting.**  For alpha1 < alpha2 on one calibration file, each set at
+  alpha2 is a subset of its set at alpha1.
+* **The two evaluate paths.**  ``evaluate --predictions`` gives the report of
+  ``evaluate --calibration``, both on ``predict``'s file, which the layout
+  path reads, and on a rewrite of it (keys reversed, or compact separators)
+  that the row path reads.
 
 Names are the kind an operator writes (``Steel Sheets``), often beside one
 that differs only in surrounding whitespace, or drawn text that a CSV cell
@@ -36,7 +49,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_gate.cli import main
-from conformal_gate.io import _CSV_UNSAFE_ID
+from conformal_gate.io import _CSV_UNSAFE_ID, _written_predictions, load_probabilities
 
 from test_end_to_end_oracle import ALPHAS, good_row
 
@@ -79,6 +92,21 @@ def jsonl_text(rows, label) -> str:
                    for i, (y, cells) in enumerate(rows))
 
 
+def quiet(*commands: list[str]) -> tuple[str, str]:
+    """The stdout and stderr of ``main`` on each argv in turn; each call exits 0."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()  # so that main logs to the stderr captured here
+    try:
+        with redirect_stdout(StringIO()) as stdout, redirect_stderr(StringIO()) as stderr:
+            codes = [main(argv) for argv in commands]
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    assert codes == [0] * len(commands), stderr.getvalue()
+    return stdout.getvalue(), stderr.getvalue()
+
+
 def run_all(work: Path, alpha: float, calib: Path, test: Path, classes: Path | None):
     """The output bytes, stdout and stderr of the four commands on ``calib`` and ``test``.
 
@@ -98,20 +126,11 @@ def run_all(work: Path, alpha: float, calib: Path, test: Path, classes: Path | N
         ["evaluate", "--predictions", str(out / "sets.jsonl"), "--input", str(test),
          "--out-json", str(out / "r2.json"), "--out-csv", str(out / "r2.csv")],
     ]
-    root = logging.getLogger()
-    handlers, level = root.handlers[:], root.level
-    root.handlers.clear()  # so that main logs to the stderr captured here
-    try:
-        with redirect_stdout(StringIO()) as stdout, redirect_stderr(StringIO()) as stderr:
-            codes = [main(argv + extra) for argv in commands]
-    finally:
-        root.handlers[:] = handlers
-        root.setLevel(level)
-    assert codes == [0] * 4, stderr.getvalue()
+    stdout, stderr = quiet(*(argv + extra for argv in commands))
     files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     files["a.json"] = re.sub(rb'"input_sha256": "[0-9a-f]{64}"', b'"input_sha256": ""',
                              files["a.json"])
-    return files, stdout.getvalue(), stderr.getvalue()
+    return files, stdout, stderr
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,3 +160,99 @@ def test_format_and_names_leave_every_output_unchanged(case):
         named = run_all(work, alpha, *written("csv", "names"), classes)
         assert named == indexed  # names, stderr included
         assert run_all(work, alpha, *written("jsonl", "names"), classes)[:2] == named[:2]  # format
+
+
+@st.composite
+def permuted_cases(draw):
+    """A case, a permutation of its classes, a second alpha and a row-path rewrite style."""
+    alpha, names, calib, test = draw(cases())
+    return (alpha, names, calib, test, draw(st.permutations(range(len(names)))),
+            draw(st.sampled_from(ALPHAS)), draw(st.sampled_from(("reversed", "compact"))))
+
+
+def classes_text(names, indices) -> str:
+    return json.dumps([{"index": i, "name": n} for i, n in zip(indices, names)])
+
+
+def sets_of(text: bytes) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(permuted_cases())
+@example((0.05, ["Cast", "é", "Shredder"], [("2", ["0.25", "0.5", "0.25"])] * 3,
+          [("1", ["0.5", "0.25", "0.25"]), ("0", ["1", "0", "0"])], [2, 0, 1], 0.5, "compact"))
+def test_class_permutation_alpha_nesting_and_the_two_evaluate_paths(case):
+    alpha, names, calib_rows, test_rows, perm, alpha2, style = case
+    k = len(names)
+
+    def permuted(rows):
+        return [(str(perm[int(y)]), [cells[perm.index(j)] for j in range(k)]) for y, cells in rows]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        paths = {name: work / name for name in ("calib.csv", "test.csv", "classes.json",
+                                                "p-calib.csv", "p-test.csv", "p-classes.json")}
+        for prefix, calib, test, indices in (("", calib_rows, test_rows, range(k)),
+                                             ("p-", permuted(calib_rows), permuted(test_rows),
+                                              perm)):
+            paths[f"{prefix}calib.csv"].write_text(csv_text(calib, str), encoding="utf-8")
+            paths[f"{prefix}test.csv"].write_text(csv_text(test, str), encoding="utf-8")
+            paths[f"{prefix}classes.json"].write_text(classes_text(names, indices),
+                                                      encoding="utf-8")
+        plain = run_all(work, alpha, paths["calib.csv"], paths["test.csv"],
+                        paths["classes.json"])[0]
+        moved = run_all(work, alpha, paths["p-calib.csv"], paths["p-test.csv"],
+                        paths["p-classes.json"])[0]
+
+        # class permutation
+        artifact, moved_artifact = json.loads(plain["a.json"]), json.loads(moved["a.json"])
+        assert repr(moved_artifact["threshold"]) == repr(artifact["threshold"])
+        assert moved["curve.csv"] == plain["curve.csv"]
+        for got, want in zip(sets_of(moved["sets.jsonl"]), sets_of(plain["sets.jsonl"]),
+                             strict=True):
+            assert got == {**want, "members": sorted(perm[m] for m in want["members"]),
+                           "true_label": perm[want["true_label"]]}
+        probs = load_probabilities(paths["test.csv"]).probs
+        untied = bool(((probs == probs.max(axis=1, keepdims=True)).sum(axis=1) == 1).all())
+        report, moved_report = json.loads(plain["r1.json"]), json.loads(moved["r1.json"])
+        for key, value in report.items():
+            if key in ("accuracy", "per_class_recall", "confusion_matrix") and not untied:
+                continue
+            if key == "confusion_matrix":
+                value = [[value[perm.index(i)][perm.index(j)] for j in range(k)]
+                         for i in range(k)]
+            elif key == "class_names" or key.startswith("per_class_"):
+                value = [value[perm.index(j)] for j in range(k)]
+            assert moved_report[key] == value, key
+
+        def table(text: bytes) -> list[list[str]]:
+            cells = [line.split(",") for line in text.decode().splitlines()]
+            return cells if untied else [[c[0], *c[2:]] for c in cells]  # recall is argmax's
+
+        rows = table(plain["r1.csv"])
+        assert table(moved["r1.csv"]) == [rows[0], *(rows[1 + perm.index(j)] for j in range(k)),
+                                          rows[-1]]
+
+        # alpha nesting, and the two evaluate paths on predict's file and on a rewrite
+        out = work / "out"
+        rewrite = out / "rewrite.jsonl"
+        sets = sets_of(plain["sets.jsonl"])
+        rewrite.write_text("".join(
+            (json.dumps(dict(reversed(obj.items()))) if style == "reversed"
+             else json.dumps(obj, separators=(",", ":"))) + "\n" for obj in sets),
+            encoding="utf-8")
+        assert _written_predictions(rewrite.read_text(encoding="utf-8"), k) is None
+        extra = ["--classes", str(paths["classes.json"])]
+        quiet(["calibrate", "--input", str(paths["calib.csv"]), "--alpha", repr(alpha2),
+               "--out", str(out / "a2.json"), *extra],
+              ["predict", "--calibration", str(out / "a2.json"), "--input", str(paths["test.csv"]),
+               "--out", str(out / "sets2.jsonl"), *extra],
+              ["evaluate", "--predictions", str(rewrite), "--input", str(paths["test.csv"]),
+               "--out-json", str(out / "r3.json"), "--out-csv", str(out / "r3.csv"), *extra])
+        sets2 = sets_of((out / "sets2.jsonl").read_bytes())
+        wide, narrow = (sets, sets2) if alpha <= alpha2 else (sets2, sets)
+        for larger, smaller in zip(wide, narrow, strict=True):
+            assert set(smaller["members"]) <= set(larger["members"])
+        assert plain["r2.json"] == plain["r1.json"] == (out / "r3.json").read_bytes()
+        assert plain["r2.csv"] == plain["r1.csv"] == (out / "r3.csv").read_bytes()

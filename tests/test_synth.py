@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conformal_gate.core_types import DataError
-from conformal_gate.synth import SyntheticSpec, coverage_trial, generate
+from conformal_gate.rng import nth_output
+from conformal_gate.synth import MAX_K, SyntheticSpec, coverage_trial, generate
 
 from row_oracle import exact_rank
 
@@ -30,6 +32,11 @@ class TestSyntheticSpec:
             SyntheticSpec(k=2, sharpness=0.0)
         with pytest.raises(DataError):
             SyntheticSpec(k=2, noise=1.0)
+
+    def test_k_is_bounded_before_the_weights_are_built(self):
+        assert len(SyntheticSpec(k=MAX_K).class_weights) == MAX_K
+        with pytest.raises(DataError, match=rf"^class count \(--k\) {MAX_K + 1} is too large"):
+            SyntheticSpec(k=MAX_K + 1)
 
     @pytest.mark.parametrize("sharpness", [math.inf, 1e308])
     def test_rejects_a_sharpness_whose_target_variate_overflows(self, sharpness):
@@ -127,6 +134,20 @@ class TestCoverageTrial:
             coverage_trial(spec, 0, 100, 0.1, 5)
         with pytest.raises(DataError):
             coverage_trial(spec, 100, 100, 0.1, 0)
+
+    def test_last_trial_holds_the_last_trials_draws_outside_repr_eq_and_json(self):
+        spec = SyntheticSpec(k=3, seed=4)
+        result = coverage_trial(spec, 50, 100, 0.1, 3)
+        # trial t draws from stream outputs 2t and 2t + 1 of spec.seed
+        for data, index, n in zip(result.last_trial, (4, 5), (50, 100)):
+            expected = generate(replace(spec, seed=nth_output(spec.seed, index)), n)
+            assert data.ids == expected.ids
+            assert np.array_equal(data.labels, expected.labels)
+            assert np.array_equal(data.probs, expected.probs)
+        other = replace(result, last_trial=coverage_trial(spec, 50, 100, 0.1, 2).last_trial)
+        assert other == result and hash(other) == hash(result)
+        assert repr(other) == repr(result) and "last_trial" not in repr(result)
+        assert "last_trial" not in result.to_json_obj()
 
     def test_json_object_shape(self):
         result = coverage_trial(SyntheticSpec(k=3, seed=4), 50, 100, 0.1, 3)
