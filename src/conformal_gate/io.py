@@ -39,6 +39,7 @@ order) and concatenate the class slices per part.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -233,8 +234,6 @@ def load_universe(path: str | Path) -> ClassUniverse:
 
 def universe_digest(universe: ClassUniverse) -> str:
     """Stable sha256 of the class universe, for artifact cross-checks."""
-    import hashlib  # here, not at the top: commands that hash nothing skip loading OpenSSL
-
     canonical = json.dumps(
         [[i, name] for i, name in enumerate(universe.names)], separators=(",", ":")
     )
@@ -242,8 +241,6 @@ def universe_digest(universe: ClassUniverse) -> str:
 
 
 def file_digest(path: str | Path) -> str:
-    import hashlib
-
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
@@ -777,7 +774,9 @@ def report_json_text(report: EvaluationReport) -> str:
     is :func:`_matrix_text`, one loop over the nonzero counts (never more
     than ``n_test``) rather than over K² cells.
     """
-    head = json.dumps(report.to_json_obj(confusion=False), indent=2)[:-2]  # up to the closing "\n}"
+    obj = report.to_json_obj()
+    del obj["confusion_matrix"]  # the last key
+    head = json.dumps(obj, indent=2)[:-2]  # up to the closing "\n}"
     return f'{head},\n  "confusion_matrix": {_matrix_text(report.confusion)}\n}}\n'
 
 

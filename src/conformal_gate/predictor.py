@@ -68,10 +68,9 @@ class PredictionSets:
 
     def misaligned(self, ids: Sequence[str]) -> int | None:
         """The position of the first set whose id is neither empty nor the one in ``ids`` there."""
-        if self.ids != tuple(ids):
-            for row, (given, expected) in enumerate(zip(self.ids, ids)):
-                if given and given != expected:
-                    return row
+        for row, (given, expected) in enumerate(zip(self.ids, ids)):
+            if given and given != expected:
+                return row
         return None
 
     def by_set(self, cells: np.ndarray) -> list[list]:

@@ -41,6 +41,8 @@ _MAX_VARIATE = 53 * math.log(2)
 # The most classes a spec takes, far above any real class count, so that a mistyped k
 # is a data error before anything that grows with k is allocated.
 MAX_K = 100_000
+# The most uniforms, n * (k + 3), one coverage-trial set may draw: 256 MiB per array.
+MAX_DRAWS = 2**25
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,10 @@ def coverage_trial(
         raise DataError(f"n_calib must be >= 1, got {n_calib}")
     if n_seeds < 1:
         raise DataError(f"n_seeds must be >= 1, got {n_seeds}")
+    for flag, n in (("--n-calib", n_calib), ("--n-test", n_test)):
+        if n * (spec.k + 3) > MAX_DRAWS:
+            raise DataError(f"sample count ({flag}) {n} is too large for --k {spec.k}:"
+                            f" n * (k + 3) = {n * (spec.k + 3)} draws, at most {MAX_DRAWS}")
     if not isinstance(alpha, Alpha):
         alpha = Alpha(alpha)
     coverages: list[float] = []

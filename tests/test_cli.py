@@ -487,8 +487,12 @@ class TestSimulateCommand:
 
     def test_a_size_numpy_cannot_allocate_exits_1_in_one_line(self, tmp_path, monkeypatch,
                                                               capsys):
-        """853 PiB, past any host's address space, so numpy refuses it before touching memory."""
+        """853 PiB, past any host's address space, so numpy refuses it before touching memory.
+
+        ``synth.MAX_DRAWS`` is lifted, so that the draw reaches numpy.
+        """
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(synth, "MAX_DRAWS", 10**18)
         assert run("simulate", "--n-test", str(10**16), "--seeds", "1", "--out", "t.json",
                    "--write-data", "H") == 1
         out, err = capsys.readouterr()
@@ -503,6 +507,20 @@ class TestSimulateCommand:
         code, seconds, out, err = json.loads(done.stdout)
         assert (code, out, err) == (
             2, "", f"error: class count (--k) {10**11} is too large: at most {MAX_K} classes\n")
+        assert seconds < 1.0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, sizes", [
+        ("--n-calib", ["--n-calib", "10000", "--n-test", "10"]),
+        ("--n-test", ["--n-calib", "10", "--n-test", "10000"]),
+    ])
+    def test_an_oversized_draw_exits_2_at_once_naming_the_flags(self, tmp_path, flag, sizes):
+        done = run_child(LIMITED_PROBE, "simulate", "--k", "100000", *sizes, "--seeds", "1",
+                         "--out", "t.json", cwd=tmp_path)
+        code, seconds, out, err = json.loads(done.stdout)
+        assert (code, out, err) == (
+            2, "", f"error: sample count ({flag}) 10000 is too large for --k 100000:"
+            f" n * (k + 3) = 1000030000 draws, at most {synth.MAX_DRAWS}\n")
         assert seconds < 1.0
         assert list(tmp_path.iterdir()) == []
 

@@ -275,6 +275,15 @@ def test_row_sums_are_the_fsum_bits(rows):
     assert _fsum_rows(rows).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 500])
+def test_no_rows_sum_to_an_empty_array_and_make_a_valid_dataset(k):
+    sums = _fsum_rows(np.zeros((0, k)))
+    assert (sums.shape, sums.dtype) == ((0,), np.float64)
+    dataset = Dataset(ClassUniverse.generic(k), (), np.zeros(0, dtype=np.int64), np.zeros((0, k)))
+    assert dataset.violations == ()
+    assert dataset.probs.shape == (0, k)
+
+
 # Tiny entries a renormalized row may hold: signed zeros, subnormals, the
 # smallest normal and small float32 and float64 values.
 TINY_ENTRIES = st.one_of(

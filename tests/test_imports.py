@@ -11,7 +11,9 @@ any ``src/`` module reads it as a name, as an attribute or in an import.  A
 public helper (``def`` or ``class``) also counts as read where a ``src/``
 string holds its name, as the package's lazy export table does, and where
 ``README.md`` or a ``bench/*.py`` file names it as a word: what a user or the
-benchmark's tracer calls stays.
+benchmark's tracer calls stays.  An ``import`` inside a function, which defers
+a load from start-up to a call, must be listed in ``DEFERRED`` with its reason,
+so that each deferral is a decision on the record, not an accident.
 """
 
 from __future__ import annotations
@@ -146,3 +148,60 @@ def test_every_public_helper_is_read_or_named():
     docs = "\n".join(path.read_text("utf-8")
                      for path in [ROOT / "README.md", *sorted((ROOT / "bench").glob("*.py"))])
     assert orphaned_public_helpers(sources, docs) == []
+
+
+# Each import that a ``src/`` function makes, as (module, function, imported module), and
+# why it waits for the call.
+DEFERRED = {
+    ("cli.py", "_configure_logging", "logging"):
+        "--help and usage errors return before logging loads",
+    ("cli.py", "_read_artifact", "logging"):
+        "--help and usage errors return before logging loads",
+    **{("cli.py", "_import_layers", layer): "a command loads numpy and only the layers it runs,"
+       " after the usage checks; the tracer wraps them as module globals"
+       for layer in (".", ".calibration", ".core_types", ".predictor", ".metrics", ".synth")},
+    ("io.py", "_written_predictions", ".predictor"): "io loads no layer but core_types",
+    ("io.py", "_row_predictions", ".predictor"): "io loads no layer but core_types",
+    ("io.py", "_shuffled_indices", ".rng"): "io loads no layer but core_types",
+}
+
+
+def function_imports(module: str, source: str) -> list[tuple[str, str, str]]:
+    """Each import inside a function of ``source``, as (module, function, imported module).
+
+    A relative import names its module with its leading dots; ``from . import io``
+    names ``.``.  An import nested in an inner function counts for the outer one.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            functions = [n for n in node.body
+                         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = [node]
+        else:
+            continue
+        for function in functions:
+            for inner in ast.walk(function):
+                if isinstance(inner, ast.Import):
+                    found += [(module, function.name, alias.name) for alias in inner.names]
+                elif isinstance(inner, ast.ImportFrom):
+                    found.append((module, function.name,
+                                  "." * inner.level + (inner.module or "")))
+    return found
+
+
+def test_the_scan_finds_a_function_level_import():
+    source = ("import os\nif os.sep:\n    import json\n"
+              "def f():\n    import hashlib\n    from . import io\n"
+              "class C:\n    def g(self):\n        from ..a import b\n")
+    assert function_imports("m.py", source) == [
+        ("m.py", "f", "hashlib"), ("m.py", "f", "."), ("m.py", "g", "..a")]
+
+
+def test_every_function_level_import_is_listed_with_its_reason():
+    found = [entry for path in MODULES
+             for entry in function_imports(str(path.relative_to(SRC / "conformal_gate")),
+                                           path.read_text("utf-8"))]
+    assert [entry for entry in found if entry not in DEFERRED] == []
+    assert sorted(set(DEFERRED) - set(found)) == []  # no entry outlives its import

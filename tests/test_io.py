@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformal_gate.calibration import calibrate, export_calibration_curve
 from conformal_gate.core_types import (
     ClassUniverse,
     DataError,
@@ -29,6 +30,7 @@ from conformal_gate.io import (
     report_csv_text,
     split,
     write_atomic,
+    write_curve,
     write_dataset,
     write_predictions,
     write_report,
@@ -308,6 +310,13 @@ class TestWriteAtomic:
             write_atomic(tmp_path / "out.txt", "x\n")
         assert raised.value.filename == str(tmp_path / "out.txt")
         assert os.listdir(tmp_path) == ["out.txt"] and not os.listdir(tmp_path / "out.txt")
+
+
+    def test_write_curve_writes_the_exported_curve_and_no_temp_file(self, tmp_path):
+        text = export_calibration_curve(calibrate(generate(SyntheticSpec(k=4, seed=3), 30), 0.1))
+        write_curve(text, tmp_path / "curve.csv")
+        assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == text
+        assert os.listdir(tmp_path) == ["curve.csv"]
 
 
 class TestWriteTexts:

@@ -6,7 +6,7 @@ drawn with ``test_end_to_end_oracle``'s row strategy, and K class names.  The
 rows are written as CSV and as dataset JSONL, labelled by index and by name,
 and five runs of ``calibrate --curve``, ``predict`` and both ``evaluate`` paths
 by ``main(argv)`` read them; every command exits 0.
-Five relations need no oracle:
+Seven relations need no oracle:
 
 * **Format.**  The same rows as CSV and as dataset JSONL give byte-identical
   outputs and stdout, with and without ``--classes``.  The artifacts differ only
@@ -29,6 +29,14 @@ Five relations need no oracle:
   ``evaluate --calibration``, both on ``predict``'s file, which the layout
   path reads, and on a rewrite of it (keys reversed, or compact separators)
   that the row path reads.
+* **Row permutation.**  Shuffling the calibration rows leaves the artifact
+  (apart from ``input_sha256``) and the curve byte-identical; shuffling the
+  test rows permutes the lines of the sets file the same way and leaves both
+  reports byte-identical.  stdout is unchanged; stderr is not compared, since
+  a renormalization warning cites lines.
+* **Layout.**  Blank or whitespace-only lines, CRLF or CR line endings and a
+  missing final newline, in the calibration, test and prediction files
+  alike, leave every output and stdout unchanged.
 
 Names are the kind an operator writes (``Steel Sheets``), often beside one
 that differs only in surrounding whitespace, or drawn text that a CSV cell
@@ -256,3 +264,80 @@ def test_class_permutation_alpha_nesting_and_the_two_evaluate_paths(case):
             assert set(smaller["members"]) <= set(larger["members"])
         assert plain["r2.json"] == plain["r1.json"] == (out / "r3.json").read_bytes()
         assert plain["r2.csv"] == plain["r1.csv"] == (out / "r3.csv").read_bytes()
+
+
+# Lines that hold nothing, or only whitespace as str.strip sees it.
+BLANKS = ("", " ", " \t", "\xa0")
+
+
+@st.composite
+def shuffled_cases(draw):
+    """A case, a format, a shuffle of each file's rows and a layout for every file.
+
+    The layout is a list of (position, blank) lines to insert after a file's
+    first line, a line ending, and whether the last line ends with it.
+    """
+    alpha, _, calib, test = draw(cases())
+    blanks = st.lists(st.tuples(st.integers(0, 40), st.sampled_from(BLANKS)), max_size=3)
+    layout = draw(blanks), draw(st.sampled_from(("\n", "\r\n", "\r"))), draw(st.booleans())
+    return (alpha, draw(st.sampled_from(("csv", "jsonl"))), calib, test,
+            draw(st.permutations(range(len(calib)))), draw(st.permutations(range(len(test)))),
+            layout)
+
+
+def lay_out(text: str, layout) -> str:
+    """``text`` with blank lines inserted after its first line and the given line ending."""
+    blanks, ending, final = layout
+    lines = text.splitlines()
+    for position, blank in blanks:
+        lines.insert(1 + position % len(lines), blank)
+    return ending.join(lines) + (ending if final else "")
+
+
+def shuffled(text: str, fmt: str, order) -> str:
+    """``text`` with its records, every line after a CSV header, in ``order``."""
+    lines = text.splitlines(keepends=True)
+    head = lines[:1] if fmt == "csv" else []
+    records = lines[len(head):]
+    return "".join(head + [records[j] for j in order])
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_cases())
+@example((0.25, "csv", [(str(y), ["0.25", "0.25", "0.5001"]) for y in (2, 0, 1, 2, 2)],
+          [("0", ["0.5", "0.5", "0"]), ("2", ["0", " 1.0 ", "0"]), ("1", ["0.25"] * 2 + ["0.5"])],
+          [4, 2, 0, 3, 1], [2, 0, 1], ([(0, " "), (2, "")], "\r\n", False)))
+def test_row_permutation_and_layout_leave_every_output_unchanged(case):
+    alpha, fmt, calib_rows, test_rows, calib_order, test_order, layout = case
+    text = csv_text if fmt == "csv" else jsonl_text
+    label = str if fmt == "csv" else int
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+
+        def written(name: str, calib: str, test: str) -> tuple[Path, Path]:
+            paths = (work / f"calib-{name}.{fmt}", work / f"test-{name}.{fmt}")
+            for path, content in zip(paths, (calib, test)):
+                path.write_bytes(content.encode("utf-8"))  # as given: no newline translation
+            return paths
+
+        calib, test = text(calib_rows, label), text(test_rows, label)
+        plain, stdout, _ = run_all(work, alpha, *written("plain", calib, test), None)
+        sets = plain["sets.jsonl"].splitlines(keepends=True)
+
+        # row permutation
+        moved, moved_stdout, _ = run_all(work, alpha, *written(
+            "shuffled", shuffled(calib, fmt, calib_order), shuffled(test, fmt, test_order)), None)
+        assert moved_stdout == stdout
+        assert moved.pop("sets.jsonl") == b"".join(sets[j] for j in test_order)
+        assert moved == {name: data for name, data in plain.items() if name != "sets.jsonl"}
+
+        # layout, of the two input files, then of the sets file
+        laid_out = written("laid-out", lay_out(calib, layout), lay_out(test, layout))
+        assert run_all(work, alpha, *laid_out, None)[:2] == (plain, stdout)
+        out = work / "out"
+        (out / "laid-out.jsonl").write_bytes(lay_out(b"".join(sets).decode(), layout).encode())
+        quiet(["evaluate", "--predictions", str(out / "laid-out.jsonl"),
+               "--input", str(laid_out[1]),
+               "--out-json", str(out / "r4.json"), "--out-csv", str(out / "r4.csv")])
+        assert (out / "r4.json").read_bytes() == plain["r2.json"]
+        assert (out / "r4.csv").read_bytes() == plain["r2.csv"]

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conformal_gate import synth
 from conformal_gate.core_types import DataError
 from conformal_gate.rng import nth_output
 from conformal_gate.synth import MAX_K, SyntheticSpec, coverage_trial, generate
@@ -134,6 +135,20 @@ class TestCoverageTrial:
             coverage_trial(spec, 0, 100, 0.1, 5)
         with pytest.raises(DataError):
             coverage_trial(spec, 100, 100, 0.1, 0)
+
+    def test_a_set_of_more_than_max_draws_uniforms_is_rejected_before_any_trial(
+            self, monkeypatch):
+        spec = SyntheticSpec(k=3)
+        monkeypatch.setattr(synth, "MAX_DRAWS", 6 * 20)  # n * (k + 3) for n = 20
+        assert len(coverage_trial(spec, 20, 20, 0.1, 1).last_trial[1]) == 20
+        drawn = []
+        monkeypatch.setattr(synth, "generate", lambda *args: drawn.append(args))
+        for flag, sizes in (("--n-calib", (21, 20)), ("--n-test", (20, 21))):
+            with pytest.raises(DataError, match=rf"^sample count \({flag}\) 21 is too large"
+                                                r" for --k 3: n \* \(k \+ 3\) = 126 draws,"
+                                                r" at most 120$"):
+                coverage_trial(spec, *sizes, 0.1, 1)
+        assert drawn == []
 
     def test_last_trial_holds_the_last_trials_draws_outside_repr_eq_and_json(self):
         spec = SyntheticSpec(k=3, seed=4)
