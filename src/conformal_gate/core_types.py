@@ -125,6 +125,8 @@ def _fsum_rows(rows: np.ndarray) -> np.ndarray:
     interval, stepped one ulp outward, rounds to one float, that float is
     the exact sum rounded.  ``math.fsum`` runs only on the other rows.
     """
+    if not len(rows):  # spare the cascade's fixed cost
+        return np.zeros(0)
     level, e, mag = np.ascontiguousarray(rows.T), 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         while len(level) > 1:
@@ -200,10 +202,11 @@ def _validate(
     masses[resum] = _fsum_rows(probs[resum])
     off = np.abs(masses - 1.0) > SILENT_TOL
     duplicate = np.zeros(len(ids), dtype=bool)
-    seen: set[str] = set()
-    for i, sample_id in enumerate(ids):
-        duplicate[i] = sample_id in seen
-        seen.add(sample_id)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for i, sample_id in enumerate(ids):
+            duplicate[i] = sample_id in seen
+            seen.add(sample_id)
     bad_label = (labels < 0) | (labels >= k)
 
     found: list[Violation] = []

@@ -39,7 +39,6 @@ order) and concatenate the class slices per part.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -234,6 +233,8 @@ def load_universe(path: str | Path) -> ClassUniverse:
 
 def universe_digest(universe: ClassUniverse) -> str:
     """Stable sha256 of the class universe, for artifact cross-checks."""
+    import hashlib  # here, not at the top: commands that hash nothing skip loading OpenSSL
+
     canonical = json.dumps(
         [[i, name] for i, name in enumerate(universe.names)], separators=(",", ":")
     )
@@ -241,6 +242,8 @@ def universe_digest(universe: ClassUniverse) -> str:
 
 
 def file_digest(path: str | Path) -> str:
+    import hashlib
+
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 

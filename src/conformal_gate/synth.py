@@ -159,6 +159,8 @@ def coverage_trial(
     """
     if n_calib < 1:
         raise DataError(f"n_calib must be >= 1, got {n_calib}")
+    if n_test < 1:
+        raise DataError(f"n_test must be >= 1, got {n_test}")
     if n_seeds < 1:
         raise DataError(f"n_seeds must be >= 1, got {n_seeds}")
     for flag, n in (("--n-calib", n_calib), ("--n-test", n_test)):

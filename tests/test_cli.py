@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,12 @@ from test_startup import run_child
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+# simulate's stdout, trial JSON and the sha256 of each --write-data CSV, recorded for two
+# specs (one is the benchmark's simulate shape): a change anywhere from the generator to the
+# writers that moves one byte of simulate's outputs fails here.
+GOLDEN_TRIAL = json.loads((Path(__file__).parent / "data" / "golden_trial.json").read_text("utf-8"))
 
 
 # Runs ``main(argv)`` in a child held to 1 GiB of address space, then prints its exit code,
@@ -543,13 +551,36 @@ class TestSimulateCommand:
         assert len(calib) == 50
         assert len(test) == 60
 
-    def test_write_data_draws_each_trial_once(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The sample count of each ``synth.generate`` call, in call order."""
         calls = []
         draw = synth.generate
         monkeypatch.setattr(synth, "generate", lambda spec, n: calls.append(n) or draw(spec, n))
+        return calls
+
+    def test_write_data_draws_each_trial_once(self, tmp_path, draws):
         assert run("simulate", "--k", "3", "--n-calib", "50", "--n-test", "60", "--seeds", "3",
                    "--out", str(tmp_path / "t.json"), "--write-data", str(tmp_path / "d")) == 0
-        assert calls == [50, 60] * 3
+        assert draws == [50, 60] * 3
+
+    @pytest.mark.parametrize("n_test", ["0", "-1"])
+    def test_a_test_size_below_one_exits_2_before_any_draw(self, tmp_path, capsys, draws, n_test):
+        assert run("simulate", "--n-test", n_test, "--seeds", "2",
+                   "--out", str(tmp_path / "t.json")) == 2
+        assert capsys.readouterr() == ("", f"error: n_test must be >= 1, got {n_test}\n")
+        assert list(tmp_path.iterdir()) == []
+        assert draws == []
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRIAL))
+    def test_outputs_match_the_golden_trial_bytes(self, tmp_path, capsys, name):
+        golden = GOLDEN_TRIAL[name]
+        assert run("simulate", *golden["argv"], "--out", str(tmp_path / "trial.json"),
+                   "--write-data", str(tmp_path / "data")) == 0
+        assert capsys.readouterr() == (golden["stdout"], "")
+        assert (tmp_path / "trial.json").read_bytes() == golden["trial.json"].encode("utf-8")
+        for csv in ("calibration.csv", "test.csv"):
+            assert hashlib.sha256((tmp_path / "data" / csv).read_bytes()).hexdigest() == golden[csv]
 
     # seeds whose three trials give three different coverages
     @pytest.mark.parametrize("k, n_calib, n_test, alpha, seed", [

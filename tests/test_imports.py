@@ -163,6 +163,8 @@ DEFERRED = {
     ("io.py", "_written_predictions", ".predictor"): "io loads no layer but core_types",
     ("io.py", "_row_predictions", ".predictor"): "io loads no layer but core_types",
     ("io.py", "_shuffled_indices", ".rng"): "io loads no layer but core_types",
+    **{("io.py", digest, "hashlib"): "simulate and evaluate --predictions compute no digest,"
+       " so they skip loading OpenSSL" for digest in ("universe_digest", "file_digest")},
 }
 
 

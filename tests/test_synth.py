@@ -133,6 +133,8 @@ class TestCoverageTrial:
         spec = SyntheticSpec(k=3)
         with pytest.raises(DataError):
             coverage_trial(spec, 0, 100, 0.1, 5)
+        with pytest.raises(DataError, match=r"^n_test must be >= 1, got 0$"):
+            coverage_trial(spec, 100, 0, 0.1, 5)
         with pytest.raises(DataError):
             coverage_trial(spec, 100, 100, 0.1, 0)
 
