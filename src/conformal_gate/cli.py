@@ -35,6 +35,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _path(text: str) -> str:
+    """The ``type`` of every path option: an empty path is a usage error, not an absent option."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="conformal-gate",
@@ -43,26 +50,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     cal = sub.add_parser("calibrate", help="derive a threshold from calibration probabilities")
-    cal.add_argument("--input", required=True, help="calibration file (CSV or JSONL)")
+    cal.add_argument("--input", type=_path, required=True, help="calibration file (CSV or JSONL)")
     cal.add_argument("--alpha", type=float, default=0.05, help="miscoverage rate (default 0.05)")
-    cal.add_argument("--out", required=True, help="calibration artifact (JSON)")
-    cal.add_argument("--curve", help="optional sorted-score curve CSV")
-    cal.add_argument("--classes", help="classes.json mapping indices to names")
+    cal.add_argument("--out", type=_path, required=True, help="calibration artifact (JSON)")
+    cal.add_argument("--curve", type=_path, help="optional sorted-score curve CSV")
+    cal.add_argument("--classes", type=_path, help="classes.json mapping indices to names")
 
     pred = sub.add_parser("predict", help="emit prediction sets for a test file")
-    pred.add_argument("--calibration", required=True, help="calibration artifact from `calibrate`")
-    pred.add_argument("--input", required=True, help="test file (CSV or JSONL)")
-    pred.add_argument("--out", required=True, help="prediction sets (JSONL)")
-    pred.add_argument("--classes", help="classes.json mapping indices to names")
+    pred.add_argument("--calibration", type=_path, required=True,
+                      help="calibration artifact from `calibrate`")
+    pred.add_argument("--input", type=_path, required=True, help="test file (CSV or JSONL)")
+    pred.add_argument("--out", type=_path, required=True, help="prediction sets (JSONL)")
+    pred.add_argument("--classes", type=_path, help="classes.json mapping indices to names")
 
     ev = sub.add_parser("evaluate", help="score prediction sets against labels")
-    ev.add_argument("--calibration", help="calibration artifact from `calibrate`")
-    ev.add_argument("--input", required=True, help="labeled test file (CSV or JSONL)")
-    ev.add_argument("--predictions",
-                    help="precomputed prediction JSONL (replaces --calibration)")
-    ev.add_argument("--out-json", required=True, help="full report (JSON)")
-    ev.add_argument("--out-csv", required=True, help="per-class metric table (CSV)")
-    ev.add_argument("--classes", help="classes.json mapping indices to names")
+    sets = ev.add_mutually_exclusive_group(required=True)
+    sets.add_argument("--calibration", type=_path, help="calibration artifact from `calibrate`")
+    sets.add_argument("--predictions", type=_path, help="precomputed prediction JSONL")
+    ev.add_argument("--input", type=_path, required=True, help="labeled test file (CSV or JSONL)")
+    ev.add_argument("--out-json", type=_path, required=True, help="full report (JSON)")
+    ev.add_argument("--out-csv", type=_path, required=True, help="per-class metric table (CSV)")
+    ev.add_argument("--classes", type=_path, help="classes.json mapping indices to names")
 
     sim = sub.add_parser("simulate", help="measure empirical coverage on synthetic data")
     sim.add_argument("--k", type=int, default=9, help="number of classes (default 9)")
@@ -73,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise", type=float, default=0.1, help="wrong-class concentration probability")
     sim.add_argument("--sharpness", type=float, default=4.0, help="concentration on the target class")
     sim.add_argument("--seed", type=int, default=0, help="base seed (trials derive substreams)")
-    sim.add_argument("--out", required=True, help="trial distribution (JSON)")
-    sim.add_argument("--write-data", help="also write the last trial's calib/test CSVs to this directory")
+    sim.add_argument("--out", type=_path, required=True, help="trial distribution (JSON)")
+    sim.add_argument("--write-data", type=_path,
+                     help="also write the last trial's calib/test CSVs to this directory")
     return parser
 
 
@@ -293,9 +302,6 @@ def main(argv: list[str] | None = None) -> int:
     at exit.  A caller that passes ``argv`` keeps its collector as it was.
     """
     args = _build_parser().parse_args(argv)
-    if args.command == "evaluate" and not args.calibration and not args.predictions:
-        print("error: evaluate needs --calibration or --predictions", file=sys.stderr)
-        return EXIT_USAGE
     shared = _shared_output(args)
     if shared:
         print(f"error: {shared}", file=sys.stderr)

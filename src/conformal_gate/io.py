@@ -133,12 +133,23 @@ def _parse_rows(rows: Sequence[str], lines: Sequence[int], parse: Callable[[str,
     return parsed, None
 
 
-def _json_row(row: str, line: int) -> Any:
-    """The value of one JSON-lines line; text that is not JSON is a ParseError citing ``line``."""
+def _json_record(row: str, line: int, keys: tuple[str, ...], malformed: str) -> tuple[Any, ...]:
+    """The object of one JSON-lines line, then the values of its ``sample_id`` and ``keys``.
+
+    Text that is not JSON, a value that is not an object holding those keys (the
+    message begins ``malformed``) and a non-string id are ParseErrors citing ``line``.
+    """
     try:
-        return json.loads(row)
+        obj = json.loads(row)
     except (ValueError, RecursionError) as exc:  # an integer over 4300 digits too
         raise ParseError(f"bad JSON: {exc}", line=line) from exc
+    try:
+        values = [obj[key] for key in ("sample_id", *keys)]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{malformed}: {exc}", line=line) from exc
+    if type(values[0]) is not str:
+        raise ParseError(f"sample_id {values[0]!r} is not a JSON string", line=line)
+    return obj, *values
 
 
 def write_texts(outputs: Sequence[tuple[str | Path, str]]) -> None:
@@ -405,13 +416,8 @@ def _csv_columns(
 def _load_jsonl(path: str | Path, universe: ClassUniverse | None) -> Dataset:
     def parse(row: str, line: int) -> tuple[str, int, list[float]]:
         nonlocal universe
-        obj = _json_row(row, line)
-        try:
-            sample_id, raw_label, probs = obj["sample_id"], obj["true_label"], obj["probs"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed record: {exc}", line=line) from exc
-        if type(sample_id) is not str:
-            raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=line)
+        _, sample_id, raw_label, probs = _json_record(row, line, ("true_label", "probs"),
+                                                      "malformed record")
         if type(probs) is not list or not all(type(v) in (int, float) for v in probs):
             raise ParseError("probs is not a JSON array of numbers", line=line)
         try:
@@ -510,15 +516,14 @@ _WRITTEN_LINE = (r'^\{"sample_id": ("[^"\\\n]*(?:\\.[^"\\\n]*)*"), "members": \[
                  r'"set_size": ([0-9]+)(?:, "true_label": -?(?:0|[1-9][0-9]*))?\}$')
 
 
-def _written_predictions(text: str, k: int) -> tuple[PredictionSets, Sequence[int]] | None:
-    """The sets and lines of a file in the exact layout :func:`write_predictions` writes, or None.
+def _written_predictions(text: str, k: int) -> tuple[list[str], np.ndarray, range] | None:
+    """The ids, member cells and lines of a file in the layout :func:`write_predictions` writes.
 
-    Every line must match that layout, with JSON ids and integers, members
-    strictly ascending in [0, k) and each ``set_size`` their count.  Any
-    other file gives None, and :func:`load_predictions` reads it line by line.
+    Each member of set ``i`` is the cell ``i * k + member``.  Every line must
+    match that layout, with JSON ids and integers, members strictly ascending
+    in [0, k) and each ``set_size`` their count.  Any other file gives None,
+    and :func:`load_predictions` reads it line by line.
     """
-    from .predictor import PredictionSets
-
     rows = re.findall(_WRITTEN_LINE, text, re.M)
     n = len(rows)
     if n != text.count("\n") or not text.endswith("\n"):  # a line that does not match
@@ -552,9 +557,7 @@ def _written_predictions(text: str, k: int) -> tuple[PredictionSets, Sequence[in
     cells = np.repeat(np.arange(n) * k, counts) + flat
     if np.any(np.diff(cells) <= 0):
         return None
-    mask = np.zeros((n, k), dtype=bool)
-    mask.reshape(-1)[cells] = True
-    return PredictionSets(ids, mask), range(1, n + 1)
+    return ids, cells, range(1, n + 1)
 
 
 def load_predictions(path: str | Path, k: int, ids: Sequence[str] | None = None) -> PredictionSets:
@@ -572,8 +575,13 @@ def load_predictions(path: str | Path, k: int, ids: Sequence[str] | None = None)
     the line of the first set that does not align, of the first set past
     the ids, or after the last set when there are fewer sets than ids.
     """
+    from .predictor import PredictionSets
+
     text = _read_text(path, lf_lines=True)
-    sets, lines = _written_predictions(text, k) or _row_predictions(text, k)
+    set_ids, cells, lines = _written_predictions(text, k) or _row_predictions(text, k)
+    mask = np.zeros((len(set_ids), k), dtype=bool)
+    mask.reshape(-1)[cells] = True
+    sets = PredictionSets(set_ids, mask)
     if ids is None:
         return sets
     if len(sets) > len(ids):
@@ -591,18 +599,11 @@ def load_predictions(path: str | Path, k: int, ids: Sequence[str] | None = None)
     return sets
 
 
-def _row_predictions(text: str, k: int) -> tuple[PredictionSets, Sequence[int]]:
-    """The sets of prediction JSONL text read line by line, and their lines."""
-    from .predictor import PredictionSets
+def _row_predictions(text: str, k: int) -> tuple[Sequence[str], np.ndarray, Sequence[int]]:
+    """The ids, member cells and lines of prediction JSONL text read line by line."""
 
     def parse(row: str, line: int) -> tuple[str, list[int]]:
-        obj = _json_row(row, line)
-        try:
-            sample_id, members = obj["sample_id"], obj["members"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad prediction record: {exc}", line=line) from exc
-        if type(sample_id) is not str:
-            raise ParseError(f"sample_id {sample_id!r} is not a JSON string", line=line)
+        obj, sample_id, members = _json_record(row, line, ("members",), "bad prediction record")
         if type(members) is not list:
             raise ParseError(f"members {members!r} is not a JSON array", line=line)
         for m in members:
@@ -621,10 +622,9 @@ def _row_predictions(text: str, k: int) -> tuple[PredictionSets, Sequence[int]]:
     if error is not None:
         raise error
     ids, all_members = zip(*parsed) if parsed else ((), ())
-    mask = np.zeros((len(ids), k), dtype=bool)
-    mask[np.repeat(np.arange(len(ids)), list(map(len, all_members))),
-         np.fromiter(chain.from_iterable(all_members), np.intp)] = True
-    return PredictionSets(ids, mask), lines
+    cells = (np.repeat(np.arange(len(ids)) * k, list(map(len, all_members)))
+             + np.fromiter(chain.from_iterable(all_members), np.intp))
+    return ids, cells, lines
 
 
 # ---------------------------------------------------------------------------

@@ -329,11 +329,32 @@ class TestEvaluateCommand:
                    "--out-csv", str(tmp_path / "r.csv")) == 2
         assert "error: line 2: bad JSON" in capsys.readouterr().err
 
-    def test_needs_calibration_or_predictions(self, tmp_path):
+    def test_needs_calibration_or_predictions(self, tmp_path, capsys):
         calib = one_hot_csv(tmp_path)
-        assert run("evaluate", "--input", str(calib),
-                   "--out-json", str(tmp_path / "r.json"),
-                   "--out-csv", str(tmp_path / "r.csv")) == 3
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--input", str(calib), "--out-json", str(tmp_path / "r.json"),
+                "--out-csv", str(tmp_path / "r.csv"))
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.endswith(
+            "error: one of the arguments --calibration --predictions is required\n")
+        assert sorted(tmp_path.iterdir()) == [calib]
+
+    def test_takes_calibration_or_predictions_not_both(self, tmp_path, capsys):
+        calib = one_hot_csv(tmp_path)
+        artifact, sets = tmp_path / "a.json", tmp_path / "sets.jsonl"
+        assert run("calibrate", "--input", str(calib), "--out", str(artifact)) == 0
+        assert run("predict", "--calibration", str(artifact), "--input", str(calib),
+                   "--out", str(sets)) == 0
+        inputs = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--calibration", str(artifact), "--predictions", str(sets),
+                "--input", str(calib), "--out-json", str(tmp_path / "r.json"),
+                "--out-csv", str(tmp_path / "r.csv"))
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.endswith(
+            "error: argument --predictions: not allowed with argument --calibration\n")
+        assert sorted(tmp_path.iterdir()) == inputs
 
     def test_precomputed_predictions_match_inprocess(self, tmp_path):
         data = generate(SyntheticSpec(k=4, seed=31, sharpness=3.0), 200)
@@ -348,9 +369,8 @@ class TestEvaluateCommand:
         via_file_json = tmp_path / "via_file.json"
         run("evaluate", "--calibration", str(artifact), "--input", str(data_path),
             "--out-json", str(direct_json), "--out-csv", str(tmp_path / "d.csv"))
-        run("evaluate", "--calibration", str(artifact), "--input", str(data_path),
-            "--predictions", str(pred_path),
-            "--out-json", str(via_file_json), "--out-csv", str(tmp_path / "v.csv"))
+        assert run("evaluate", "--predictions", str(pred_path), "--input", str(data_path),
+                   "--out-json", str(via_file_json), "--out-csv", str(tmp_path / "v.csv")) == 0
         assert direct_json.read_bytes() == via_file_json.read_bytes()
 
 
@@ -635,6 +655,41 @@ class TestOutputsThatNameOneFile:
         inputs = sorted(tmp_path.iterdir())
         assert run(*self.ARGV[command]) == 3
         assert capsys.readouterr() == ("", self.MESSAGES[command])
+        assert sorted(tmp_path.iterdir()) == inputs
+
+
+class TestEmptyPathIsAUsageError:
+    """An empty path is a usage error, never read as an option left out."""
+
+    ARGV = {
+        "calibrate-curve": ["calibrate", "--input", "calib.csv", "--out", "a2.json",
+                            "--curve", ""],
+        "simulate-write-data": ["simulate", "--k", "3", "--n-calib", "20", "--n-test", "20",
+                                "--seeds", "1", "--out", "t.json", "--write-data", ""],
+        "predict-classes": ["predict", "--calibration", "a.json", "--input", "calib.csv",
+                            "--out", "s.jsonl", "--classes", ""],
+        "evaluate-predictions": ["evaluate", "--calibration", "a.json", "--predictions", "",
+                                 "--input", "calib.csv", "--out-json", "r.json",
+                                 "--out-csv", "r.csv"],
+    }
+
+    @pytest.mark.parametrize("case", list(ARGV))
+    def test_exits_3_before_any_layer_loads(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        one_hot_csv(tmp_path, n=20)
+        assert run("calibrate", "--input", "calib.csv", "--out", "a.json") == 0
+        capsys.readouterr()
+        inputs = sorted(tmp_path.iterdir())
+        loaded = []
+        monkeypatch.setattr(cli, "_import_layers", loaded.append)  # where numpy would load
+        argv = self.ARGV[case]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 3
+        option = argv[argv.index("") - 1]
+        assert capsys.readouterr().err.endswith(
+            f"conformal-gate {argv[0]}: error: argument {option}: an empty path names no file\n")
+        assert loaded == []
         assert sorted(tmp_path.iterdir()) == inputs
 
 

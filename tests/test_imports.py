@@ -160,8 +160,7 @@ DEFERRED = {
     **{("cli.py", "_import_layers", layer): "a command loads numpy and only the layers it runs,"
        " after the usage checks; the tracer wraps them as module globals"
        for layer in (".", ".calibration", ".core_types", ".predictor", ".metrics", ".synth")},
-    ("io.py", "_written_predictions", ".predictor"): "io loads no layer but core_types",
-    ("io.py", "_row_predictions", ".predictor"): "io loads no layer but core_types",
+    ("io.py", "load_predictions", ".predictor"): "io loads no layer but core_types",
     ("io.py", "_shuffled_indices", ".rng"): "io loads no layer but core_types",
     **{("io.py", digest, "hashlib"): "simulate and evaluate --predictions compute no digest,"
        " so they skip loading OpenSSL" for digest in ("universe_digest", "file_digest")},

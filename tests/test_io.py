@@ -184,18 +184,30 @@ class TestLoadJsonl:
         with pytest.raises(UnknownLabelError, match="line 2"):
             load_probabilities(path)
 
-    @pytest.mark.parametrize("record, problem", [
-        ('{"sample_id": "b", "true_label": 0, "probs": "10"}', "probs"),
-        ('{"sample_id": "b", "true_label": 0, "probs": [true, false]}', "probs"),
-        ('{"sample_id": null, "true_label": 0, "probs": [0.0, 1.0]}', "sample_id"),
-        ('{"sample_id": "b", "true_label": 0, "probs": [1' + "0" * 400 + ', 0]}', "probs"),
-    ], ids=["string-probs", "boolean-probs", "null-id", "int-beyond-float"])
-    def test_fields_of_the_wrong_json_type_rejected(self, tmp_path, record, problem):
+    @pytest.mark.parametrize("record, message", [
+        ('{"sample_id": "b", "true_label": 0, "probs": "10"}',
+         "probs is not a JSON array of numbers"),
+        ('{"sample_id": "b", "true_label": 0, "probs": [true, false]}',
+         "probs is not a JSON array of numbers"),
+        ('{"sample_id": null, "true_label": 0, "probs": [0.0, 1.0]}',
+         "sample_id None is not a JSON string"),
+        ('{"sample_id": "b", "true_label": 0, "probs": [1' + "0" * 400 + ', 0]}',
+         "probs entry out of float range: int too large to convert to float"),
+        ('{"sample_id": "b", "true_label": 0}', "malformed record: 'probs'"),
+        ('{"sample_id": "b", "probs": [0.0, 1.0]}', "malformed record: 'true_label'"),
+        ('["b", 0, [0.0, 1.0]]',
+         "malformed record: list indices must be integers or slices, not str"),
+        ("7", "malformed record: 'int' object is not subscriptable"),
+    ], ids=["string-probs", "boolean-probs", "null-id", "int-beyond-float", "missing-probs",
+            "missing-label", "array-line", "number-line"])
+    def test_fields_of_the_wrong_json_type_rejected(self, tmp_path, record, message):
         path = tmp_path / "d.jsonl"
         path.write_text('{"sample_id": "a", "true_label": 0, "probs": [1.0, 0.0]}\n'
                         + record + "\n")
-        with pytest.raises(ParseError, match=f"line 2: {problem}"):
+        with pytest.raises(ParseError) as exc:
             load_probabilities(path)
+        assert str(exc.value) == f"line 2: {message}"
+        assert exc.value.line == 2
 
 
 class TestJsonLinesBreakAtLfOnly:

@@ -137,6 +137,9 @@ def command_argv(command: str, work: Path) -> list[str]:
     (["calibrate"], 3),  # required flags missing
     (["no-such-command"], 3),
     (["evaluate", "--input", "t.csv", "--out-json", "r.json", "--out-csv", "r.csv"], 3),
+    (["evaluate", "--calibration", "a.json", "--predictions", "p.jsonl", "--input", "t.csv",
+      "--out-json", "r.json", "--out-csv", "r.csv"], 3),
+    (["calibrate", "--input", "c.csv", "--out", "a.json", "--curve", ""], 3),
 ])
 def test_parser_path_loads_no_numpy_and_no_layer(argv, exit_code):
     code, loaded, frozen, added, preloaded, enabled = run_probe(CLI_PROBE, *argv)
@@ -205,7 +208,8 @@ WARNED = "WARNING conformal_gate.core_types: renormalizing 1 probability vector(
     (OFF_MASS, ["calibrate", "--input", "d.csv", "--out", "a.json", "--curve", "c.csv"], 0,
      WARNED),
     (INVALID, ["calibrate", "--input", "d.csv", "--out", "a.json"], 2, "error: line 3"),
-    (OFF_MASS, EVALUATE_ALONE, 3, "error: evaluate needs --calibration or --predictions"),
+    (OFF_MASS, EVALUATE_ALONE, 3,
+     "error: one of the arguments --calibration --predictions is required"),
 ], ids=["warning", "data-error", "usage-error"])
 def test_console_entry_and_main_argv_give_the_same_results(tmp_path, rows, argv, exit_code,
                                                            stderr_has):
